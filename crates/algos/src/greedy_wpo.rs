@@ -17,6 +17,23 @@
 //! acceptance fold replays that order serially, so the selected waypoints
 //! are bit-identical at any thread count.
 //!
+//! **Bottleneck bound.** Before probing a demand, the sweep takes the
+//! demand's current chain out of the running loads and computes the MLU of
+//! what remains. Every candidate only adds the demand back:
+//! `segment_loads_sparse` emits shares `f / outs.len()` with `f > EPS`,
+//! and IEEE addition of a non-negative value and division by a positive
+//! capacity are monotone, so each candidate's patched MLU is at least the
+//! remaining loads' MLU on every matrix. [`RobustObjective::aggregate`] is a
+//! quantile, monotone in each matrix's MLU, so the aggregated remaining MLU
+//! is a lower bound on every candidate's aggregated MLU. When that bound
+//! already misses the acceptance test (`≥ u_min · (1 − min_improvement)`,
+//! the same expression), no candidate can be kept: the demand takes the
+//! reject path without probing, and the result is bit-identical to probing
+//! it. Only demands that cross every maximally loaded edge pass the bound,
+//! which on large matrices is a small fraction of them. Pruned visits are
+//! counted in `greedywpo.demands_pruned`; debug builds still probe them
+//! and assert that nothing would have been accepted.
+//!
 //! **Robust multi-matrix selection** ([`greedy_wpo_robust`]): the same
 //! greedy sweep against an aligned [`DemandSet`] of `K` matrices. One
 //! running load vector is maintained *per matrix*, every candidate chain is
@@ -150,11 +167,25 @@ pub fn greedy_wpo_robust(
     robust: RobustObjective,
     cfg: &GreedyWpoConfig,
 ) -> Result<WaypointSetting, TeError> {
+    greedy_sweep(net, set, weights, robust, cfg).map(|(setting, _)| setting)
+}
+
+/// The sweep behind [`greedy_wpo_robust`]. Also returns how many demand
+/// visits the bottleneck bound pruned, so tests can see the bound act
+/// without reading the process-wide `greedywpo.demands_pruned` counter.
+fn greedy_sweep(
+    net: &Network,
+    set: &DemandSet,
+    weights: &WeightSetting,
+    robust: RobustObjective,
+    cfg: &GreedyWpoConfig,
+) -> Result<(WaypointSetting, u64), TeError> {
     assert!(!set.is_empty(), "demand set must hold at least one matrix");
     set.require_aligned()?;
     let _span = segrout_obs::span("greedywpo");
     let k = set.len();
     let candidates_evaluated = segrout_obs::counter("greedywpo.candidates_evaluated");
+    let demands_pruned = segrout_obs::counter("greedywpo.demands_pruned");
     let waypoints_set = segrout_obs::counter("greedywpo.waypoints_set");
     let matrix_evals = (k > 1).then(|| segrout_obs::counter("robust.matrix_evals"));
     let router = Router::new(net, weights);
@@ -178,6 +209,7 @@ pub fn greedy_wpo_robust(
     // Local probe count for the flight recorder; GreedyWPO tracks no Φ, so
     // trace points carry `NaN` there (rendered as JSON null).
     let mut total_probes: u64 = 0;
+    let mut pruned_visits: u64 = 0;
     segrout_obs::trace_point("greedywpo.start", 0, f64::NAN, u_min);
     event!(
         Level::Debug,
@@ -205,6 +237,57 @@ pub fn greedy_wpo_robust(
             Ok(out)
         };
 
+    // Probes every candidate chain of the demand `src -> dst` — its current
+    // `chain` with one more waypoint inserted — against the running
+    // `loads`, which must exclude the demand's own contribution. Returns
+    // the candidates in fixed (position, waypoint) order and the
+    // candidate-major `(candidate × matrix)` grid of patched MLUs and
+    // deltas: candidate `ci`'s cells live at `[ci·K, ci·K+K)`.
+    let probe = |chain: &[NodeId], src: NodeId, dst: NodeId, sizes: &[f64], loads: &[Vec<f64>]| {
+        // Per-matrix base utilizations sorted descending, shared read-only
+        // by every probe of this demand: one O(|E| log |E|) sort per matrix
+        // replaces an O(|E|) load-vector clone per probe.
+        let base_util: Vec<Vec<(f64, usize)>> = loads
+            .iter()
+            .map(|l| {
+                let mut u: Vec<(f64, usize)> = l
+                    .iter()
+                    .zip(caps)
+                    .map(|(l, c)| l / c)
+                    .enumerate()
+                    .map(|(idx, u)| (u, idx))
+                    .collect();
+                u.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+                u
+            })
+            .collect();
+        let mut probes: Vec<Vec<NodeId>> = Vec::new();
+        for pos in 0..=chain.len() {
+            for &w in candidates {
+                if w == src || w == dst || chain.contains(&w) {
+                    continue;
+                }
+                let mut cand = chain.to_vec();
+                cand.insert(pos, w);
+                probes.push(cand);
+            }
+        }
+        let tasks: Vec<(usize, usize)> = (0..probes.len())
+            .flat_map(|ci| (0..k).map(move |mi| (ci, mi)))
+            .collect();
+        // Each cell is a sparse single-segment probe — microseconds of
+        // work — so small grids (one matrix × a few dozen waypoints, the
+        // k=1 common case) run serially: pool dispatch used to cost more
+        // than the probes themselves (0.69× "speedup" at 2 threads in the
+        // pre-threshold BENCH_parallel record). Robust multi-matrix grids
+        // clear the threshold and still fan out.
+        let evals = segrout_par::par_map_slice_min(&tasks, GRID_SERIAL_CUTOFF, |_, &(ci, mi)| {
+            let delta = chain_loads(&probes[ci], src, dst, sizes[mi]).ok()?;
+            Some((patched_mlu(&loads[mi], caps, &base_util[mi], &delta), delta))
+        });
+        (probes, evals)
+    };
+
     // One greedy pass per waypoint of budget: each pass may insert one more
     // waypoint into every demand's chain (pass 1 with an empty chain is
     // exactly the paper's Algorithm 3).
@@ -218,89 +301,63 @@ pub fn greedy_wpo_robust(
                 continue;
             }
             // Remove this demand's current contribution from every matrix.
-            for (mi, l) in loads.iter_mut().enumerate() {
-                let current = chain_loads(&chain, d.src, d.dst, sizes[mi])?;
-                for &(e, load) in &current {
+            let current: Vec<SparseLoads> = sizes
+                .iter()
+                .map(|&size| chain_loads(&chain, d.src, d.dst, size))
+                .collect::<Result<_, _>>()?;
+            for (l, cur) in loads.iter_mut().zip(&current) {
+                for &(e, load) in cur {
                     l[e.index()] -= load;
                 }
             }
-            // Per-matrix base utilizations sorted descending, shared
-            // read-only by every probe of this demand: one O(|E| log |E|)
-            // sort per matrix replaces an O(|E|) load-vector clone per
-            // probe.
-            let base_util: Vec<Vec<(f64, usize)>> = loads
+            // Bottleneck bound (see the module docs): every candidate only
+            // adds load back, so none can beat the MLU of the remaining
+            // loads. When that already misses the acceptance threshold the
+            // probe grid is skipped — exactly the rejection probing would
+            // reach.
+            let base_mlus: Vec<f64> = loads
                 .iter()
-                .map(|l| {
-                    let mut u: Vec<(f64, usize)> = l
-                        .iter()
-                        .zip(caps)
-                        .map(|(l, c)| l / c)
-                        .enumerate()
-                        .map(|(idx, u)| (u, idx))
+                .map(|l| max_link_utilization(l, caps))
+                .collect();
+            let bound = robust.aggregate(&base_mlus);
+            let pruned = bound >= u_min * (1.0 - cfg.min_improvement);
+            let (picked, probed) = if pruned {
+                pruned_visits += 1;
+                demands_pruned.inc();
+                // Prune hook: probing the pruned demand anyway must accept
+                // nothing (debug builds only).
+                #[cfg(debug_assertions)]
+                {
+                    let (_, evals) = probe(&chain, d.src, d.dst, &sizes, &loads);
+                    let (best, _) = select_best(&evals, k, robust, u_min, cfg.min_improvement);
+                    assert!(
+                        best.is_none(),
+                        "prune hook: demand {i} pruned at bound {bound} (MLU {u_min}) \
+                         but candidate {best:?} passes the acceptance test"
+                    );
+                }
+                (None, 0)
+            } else {
+                let (mut probes, mut evals) = probe(&chain, d.src, d.dst, &sizes, &loads);
+                let (best, probed) = select_best(&evals, k, robust, u_min, cfg.min_improvement);
+                candidates_evaluated.add(probed);
+                if let Some(ctr) = &matrix_evals {
+                    ctr.add(probed * k as u64);
+                }
+                total_probes += probed;
+                let picked = best.map(|(ci, u)| {
+                    let per_matrix: Vec<(f64, SparseLoads)> = evals
+                        .drain(ci * k..(ci + 1) * k)
+                        .map(|cell| cell.expect("accepted candidates evaluated on every matrix"))
                         .collect();
-                    u.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
-                    u
-                })
-                .collect();
-
-            // Candidate chains in fixed (position, waypoint) order; the
-            // parallel probe results are folded back in this same order.
-            let mut probes: Vec<Vec<NodeId>> = Vec::new();
-            for pos in 0..=chain.len() {
-                for &w in candidates {
-                    if w == d.src || w == d.dst || chain.contains(&w) {
-                        continue;
-                    }
-                    let mut cand = chain.clone();
-                    cand.insert(pos, w);
-                    probes.push(cand);
-                }
-            }
-            // Each grid cell re-routes the demand along its candidate chain
-            // with one matrix's size and evaluates that matrix's patched MLU
-            // from the shared base state — no per-probe load-vector copy.
-            // Candidate-major order: candidate `ci`'s cells live at
-            // `[ci·K, ci·K+K)`.
-            let tasks: Vec<(usize, usize)> = (0..probes.len())
-                .flat_map(|ci| (0..k).map(move |mi| (ci, mi)))
-                .collect();
-            // Each cell is a sparse single-segment probe — microseconds of
-            // work — so small grids (one matrix × a few dozen waypoints, the
-            // k=1 common case) run serially: pool dispatch used to cost more
-            // than the probes themselves (0.69× "speedup" at 2 threads in
-            // the pre-threshold BENCH_parallel record). Robust multi-matrix
-            // grids clear the threshold and still fan out.
-            let mut evals =
-                segrout_par::par_map_slice_min(&tasks, GRID_SERIAL_CUTOFF, |_, &(ci, mi)| {
-                    let delta = chain_loads(&probes[ci], d.src, d.dst, sizes[mi]).ok()?;
-                    Some((patched_mlu(&loads[mi], caps, &base_util[mi], &delta), delta))
+                    (probes.swap_remove(ci), u, per_matrix)
                 });
+                (picked, probed)
+            };
 
-            let mut best: Option<(usize, f64)> = None;
-            let mut probed: u64 = 0;
-            for ci in 0..probes.len() {
-                let group = &evals[ci * k..(ci + 1) * k];
-                if group.iter().any(Option::is_none) {
-                    continue;
-                }
-                probed += 1;
-                let mlus: Vec<f64> = group.iter().flatten().map(|(u, _)| *u).collect();
-                let u = robust.aggregate(&mlus);
-                let current_best = best.map(|(_, u)| u).unwrap_or(u_min);
-                if u < current_best * (1.0 - cfg.min_improvement) {
-                    best = Some((ci, u));
-                }
-            }
-
-            candidates_evaluated.add(probed);
-            if let Some(ctr) = &matrix_evals {
-                ctr.add(probed * k as u64);
-            }
-            total_probes += probed;
-            match best {
-                Some((ci, u)) => {
+            match picked {
+                Some((cand, u, per_matrix)) => {
                     segrout_obs::trace_point("greedywpo.accept", total_probes, f64::NAN, u);
-                    let cand = probes[ci].clone();
                     event!(
                         Level::Debug,
                         "greedywpo.pick",
@@ -309,10 +366,7 @@ pub fn greedy_wpo_robust(
                         mlu = u,
                     );
                     setting.set(i, cand);
-                    for (mi, l) in loads.iter_mut().enumerate() {
-                        let (u_mi, delta) = evals[ci * k + mi]
-                            .take()
-                            .expect("accepted candidates evaluated on every matrix");
+                    for (mi, (l, (u_mi, delta))) in loads.iter_mut().zip(per_matrix).enumerate() {
                         for (e, load) in delta {
                             l[e.index()] += load;
                         }
@@ -346,13 +400,13 @@ pub fn greedy_wpo_robust(
                         Level::Trace,
                         "greedywpo.reject",
                         demand = i,
-                        probed = probed
+                        probed = probed,
+                        pruned = pruned,
                     );
                     // Keep the current chain: restore each matrix's
                     // contribution.
-                    for (mi, l) in loads.iter_mut().enumerate() {
-                        let current = chain_loads(&chain, d.src, d.dst, sizes[mi])?;
-                        for (e, load) in current {
+                    for (l, cur) in loads.iter_mut().zip(current) {
+                        for (e, load) in cur {
                             l[e.index()] += load;
                         }
                     }
@@ -369,10 +423,41 @@ pub fn greedy_wpo_robust(
         Level::Info,
         "greedywpo.done",
         candidates_evaluated = candidates_evaluated.get(),
+        demands_pruned = demands_pruned.get(),
         waypoints = waypoints_set.get(),
         mlu = u_min,
     );
-    Ok(setting)
+    Ok((setting, pruned_visits))
+}
+
+/// The acceptance fold over one demand's probe grid, replayed serially in
+/// candidate order: a candidate is kept when its `robust`-aggregated MLU
+/// beats the best so far (initially `u_min`) by the relative
+/// `min_improvement`. Candidates unroutable on some matrix are skipped.
+/// Returns the kept candidate with its MLU, and the number of candidates
+/// evaluated on every matrix.
+fn select_best(
+    evals: &[Option<(f64, SparseLoads)>],
+    k: usize,
+    robust: RobustObjective,
+    u_min: f64,
+    min_improvement: f64,
+) -> (Option<(usize, f64)>, u64) {
+    let mut best: Option<(usize, f64)> = None;
+    let mut probed: u64 = 0;
+    for (ci, group) in evals.chunks(k).enumerate() {
+        if group.iter().any(Option::is_none) {
+            continue;
+        }
+        probed += 1;
+        let mlus: Vec<f64> = group.iter().flatten().map(|(u, _)| *u).collect();
+        let u = robust.aggregate(&mlus);
+        let current_best = best.map(|(_, u)| u).unwrap_or(u_min);
+        if u < current_best * (1.0 - min_improvement) {
+            best = Some((ci, u));
+        }
+    }
+    (best, probed)
 }
 
 #[cfg(test)]
@@ -602,5 +687,160 @@ mod tests {
             &GreedyWpoConfig::default()
         )
         .is_err());
+    }
+
+    /// Two disconnected copies of [`instance1_like`]: nodes 0–3 (s = 0,
+    /// t = 3) and 4–7 (s = 4, t = 7), weighted as
+    /// [`direct_heavy_weights`], so each half's direct link `(s, t)` is a
+    /// bottleneck of its own and the two share no edge.
+    fn two_bottlenecks() -> (Network, WeightSetting) {
+        let mut b = Network::builder(8);
+        for base in [0, 4] {
+            let n = |i: u32| NodeId(base + i);
+            b.link(n(0), n(1), 3.0);
+            b.link(n(1), n(2), 3.0);
+            b.link(n(0), n(3), 1.0);
+            b.link(n(1), n(3), 1.0);
+            b.link(n(2), n(3), 1.0);
+        }
+        let net = b.build().unwrap();
+        let half = [1.0, 1.0, 2.0, 10.0, 10.0];
+        let w = WeightSetting::new(&net, half.iter().chain(&half).copied().collect()).unwrap();
+        (net, w)
+    }
+
+    fn chains(wp: &WaypointSetting) -> Vec<Vec<usize>> {
+        (0..wp.len())
+            .map(|i| wp.get(i).iter().map(|w| w.index()).collect())
+            .collect()
+    }
+
+    /// Left bottleneck at utilization 3, right at 1.5. Demands 0 and 1
+    /// (left) and 3 (right) each cross the maximal link and get a
+    /// waypoint; demand 2 is visited when the right link (1.5) is the
+    /// maximum and demand 4 when no maximal link carries it, so the
+    /// bound prunes both — and the debug prune hook probes them anyway.
+    #[test]
+    fn bound_prunes_demands_off_the_bottleneck() {
+        let (net, w) = two_bottlenecks();
+        let mut d = DemandList::new();
+        for _ in 0..3 {
+            d.push(NodeId(0), NodeId(3), 1.0);
+        }
+        d.push(NodeId(4), NodeId(7), 1.0);
+        d.push(NodeId(4), NodeId(7), 0.5);
+        let set = DemandSet::single(d.clone());
+        let cfg = GreedyWpoConfig::default();
+        let (wp, pruned) = greedy_sweep(&net, &set, &w, RobustObjective::WorstCase, &cfg).unwrap();
+        assert_eq!(chains(&wp), vec![vec![1], vec![2], vec![], vec![5], vec![]]);
+        assert_eq!(pruned, 2);
+        assert_eq!(Router::new(&net, &w).evaluate(&d, &wp).unwrap().mlu, 1.0);
+    }
+
+    /// With both bottlenecks at the same utilization, every demand crosses
+    /// only one of the two maximal links, so none can lower the MLU: every
+    /// visit is pruned and no waypoint is set, although each demand alone
+    /// would relieve its own half.
+    #[test]
+    fn equal_bottlenecks_prune_every_demand() {
+        let (net, w) = two_bottlenecks();
+        let mut d = DemandList::new();
+        for (s, t) in [(0, 3), (4, 7)] {
+            for _ in 0..3 {
+                d.push(NodeId(s), NodeId(t), 1.0);
+            }
+        }
+        let (wp, pruned) = greedy_sweep(
+            &net,
+            &DemandSet::single(d),
+            &w,
+            RobustObjective::WorstCase,
+            &GreedyWpoConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(chains(&wp), vec![Vec::<usize>::new(); 6]);
+        assert_eq!(pruned, 6);
+    }
+
+    /// `K = 2` under `Quantile(0.5)`, which with two matrices aggregates
+    /// to the lower per-matrix MLU. Matrix A loads the left bottleneck to
+    /// 3, matrix B the right one to 3. Demand 3 (visited first, largest
+    /// total) relieves B's link and drops the aggregate to 1.5. Every
+    /// remaining demand is pruned: the left demands would lower A's MLU
+    /// from 3 to 2, but B stays at 1.5 whatever they do, so the aggregate
+    /// cannot fall.
+    #[test]
+    fn bound_is_exact_for_robust_quantile_sets() {
+        let (net, w) = two_bottlenecks();
+        let pairs = [(0, 3), (0, 3), (0, 3), (4, 7), (4, 7)];
+        let matrix = |sizes: [f64; 5]| -> DemandList {
+            let mut d = DemandList::new();
+            for (&(s, t), size) in pairs.iter().zip(sizes) {
+                d.push(NodeId(s), NodeId(t), size);
+            }
+            d
+        };
+        let mut set = DemandSet::single(matrix([1.0, 1.0, 1.0, 1.0, 0.5]));
+        set.push("b", matrix([0.25, 0.25, 0.25, 1.5, 1.5]));
+        let (wp, pruned) = greedy_sweep(
+            &net,
+            &set,
+            &w,
+            RobustObjective::Quantile(0.5),
+            &GreedyWpoConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(chains(&wp), vec![vec![], vec![], vec![], vec![5], vec![]]);
+        assert_eq!(pruned, 4);
+        let report = segrout_core::evaluate_robust(&net, &w, &set, &wp).unwrap();
+        assert_eq!(report.aggregate_mlu(RobustObjective::Quantile(0.5)), 1.5);
+    }
+
+    /// `max_waypoints = 2` on a gadget where demand 0 (0 → 3) needs two
+    /// waypoints: via 1 alone ECMP still sends half over the bottleneck
+    /// `(0, 3)`, via 2 alone all of it, and only the chain `[1, 2]`
+    /// avoids it. A second, unreroutable demand (4 → 5) sits below the
+    /// maximum, so the bound prunes it in both passes while demand 0 is
+    /// probed in both and gains its second waypoint in pass 2.
+    #[test]
+    fn bound_is_exact_with_two_waypoint_budget() {
+        let mut b = Network::builder(6);
+        b.link(NodeId(0), NodeId(3), 1.0); // the bottleneck
+        b.link(NodeId(0), NodeId(1), 10.0);
+        b.link(NodeId(1), NodeId(0), 10.0);
+        b.link(NodeId(1), NodeId(2), 10.0);
+        b.link(NodeId(2), NodeId(3), 10.0);
+        b.link(NodeId(3), NodeId(2), 10.0);
+        b.link(NodeId(4), NodeId(5), 1.0);
+        let net = b.build().unwrap();
+        // 1 -> 3 ties between 1-0-3 and 1-2-3; 0 -> 2 runs 0-3-2.
+        let w = WeightSetting::new(&net, vec![1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 1.0]).unwrap();
+        let mut d = DemandList::new();
+        d.push(NodeId(0), NodeId(3), 1.0);
+        d.push(NodeId(4), NodeId(5), 0.05);
+        let cfg = GreedyWpoConfig {
+            max_waypoints: 2,
+            ..Default::default()
+        };
+        let (one, _) = greedy_sweep(
+            &net,
+            &DemandSet::single(d.clone()),
+            &w,
+            RobustObjective::WorstCase,
+            &GreedyWpoConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(chains(&one), vec![vec![1], vec![]]);
+        let (two, pruned) = greedy_sweep(
+            &net,
+            &DemandSet::single(d.clone()),
+            &w,
+            RobustObjective::WorstCase,
+            &cfg,
+        )
+        .unwrap();
+        assert_eq!(chains(&two), vec![vec![1, 2], vec![]]);
+        assert_eq!(pruned, 2);
+        assert_eq!(Router::new(&net, &w).evaluate(&d, &two).unwrap().mlu, 0.1);
     }
 }

@@ -6,7 +6,9 @@
 //! correctness argument is that this derived state always equals what a
 //! from-scratch evaluation would produce. This module provides one cheap
 //! assertion, [`assert_commit_consistent`], that the optimizers call at
-//! every accepted move (their *commit points*).
+//! every accepted move (their *commit points*). GreedyWPO's prune hook,
+//! which re-probes every demand its bottleneck bound skipped, needs the
+//! sweep's own probe grid and so lives in `segrout-algos`' `greedy_wpo`.
 //!
 //! The check re-evaluates the committed configuration with a fresh
 //! [`Router`] and compares loads and MLU. It is compiled to a no-op unless

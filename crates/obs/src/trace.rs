@@ -99,8 +99,10 @@ pub fn trace_point(event: &'static str, iter: u64, phi: f64, mlu: f64) {
     if !trace_enabled() {
         return;
     }
-    let t_us = elapsed_us();
     let mut buf = buffer().lock().expect("trace buffer poisoned");
+    // Timestamp under the lock, so `seq` and `t_us` are ordered together
+    // across threads.
+    let t_us = elapsed_us();
     let seq = buf.len() as u64;
     buf.push(TracePoint {
         seq,

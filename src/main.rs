@@ -361,7 +361,12 @@ const METRIC_CATALOG: &[(&str, &str, &str)] = &[
     (
         "greedywpo.candidates_evaluated",
         "counter",
-        "waypoint candidates probed",
+        "waypoint candidates probed (demands the bottleneck bound prunes are not probed)",
+    ),
+    (
+        "greedywpo.demands_pruned",
+        "counter",
+        "demand visits skipped by GreedyWPO's bottleneck bound (no candidate could lower the MLU)",
     ),
     (
         "greedywpo.final_mlu",
@@ -655,6 +660,7 @@ fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
         "milp.nodes_warm_started",
         "heurospf.iterations",
         "greedywpo.candidates_evaluated",
+        "greedywpo.demands_pruned",
         "greedywpo.waypoints_set",
         "ecmp.recomputes",
         "incr.probes",
