@@ -1,17 +1,18 @@
 //! Failure-sweep throughput benchmark (`BENCH_failsweep.json`): fleet-scale
 //! what-if enumeration on Germany50.
 //!
-//! The sweep engine answers every `(failure pattern, demand scaling)`
-//! scenario with the read-only edge-disable probe — one intact-topology
-//! evaluator per scaling, masked repair of only the destinations whose
-//! shortest-path DAG used a failed edge, fanned out over the `segrout-par`
-//! pool. This benchmark enumerates all single **and** double link failures
-//! of Germany50 (88 links → 3 916 patterns) across enough demand scalings
-//! to exceed 100 000 scenario evaluations in one run, and records the
-//! wall-time and throughput.
+//! The sweep engine builds one intact-topology evaluator per demand scaling
+//! and runs pattern-major over the `segrout-par` pool: each failure
+//! pattern masks its failed edges and repairs only the destinations whose
+//! shortest-path DAG used one, once, then folds every scaling's traffic
+//! over the repaired DAGs. This benchmark enumerates all single **and**
+//! double link failures of Germany50 (88 links → 3 916 patterns) across
+//! enough demand scalings to exceed 100 000 scenario evaluations in one
+//! run, and records the wall-time and throughput.
 //!
-//! Environment: `SEGROUT_FAST=1` shrinks to Abilene singles with one
-//! scaling and writes `BENCH_failsweep_fast.json` instead.
+//! Environment: `SEGROUT_FAST=1` shrinks to Abilene singles with three
+//! scalings (so the shared repair still serves several folds) and writes
+//! `BENCH_failsweep_fast.json` instead.
 
 use segrout_bench::{banner, fast_mode, write_record};
 use segrout_core::{sweep_failures, FailureSet, WaypointSetting, WeightSetting};
@@ -23,7 +24,7 @@ fn main() {
     banner("BENCH failsweep — single+double failure enumeration throughput");
     let fast = fast_mode();
     let (topo, doubles, scalings) = if fast {
-        ("Abilene", false, vec![1.0])
+        ("Abilene", false, vec![0.8, 1.0, 1.2])
     } else {
         // 26 scalings x 3 916 patterns = 101 816 scenarios.
         (

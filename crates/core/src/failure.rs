@@ -10,13 +10,16 @@
 //!   optionally all double-link failures at the **undirected-link** level
 //!   (both directions of a bi-directed arc fail together, the way a fiber
 //!   cut behaves) — over the distinct links of a [`Network`].
-//! * [`sweep_failures`] crosses the patterns with a list of demand scalings
-//!   and evaluates every resulting scenario with the read-only
-//!   [`IncrementalEvaluator::probe_disable`] edge-disable probe, fanned out
-//!   over the `segrout-par` pool. One evaluator is built per scaling; every
-//!   failure pattern then repairs only the destinations whose shortest-path
-//!   DAG actually used a failed edge, which is what makes whole-fleet sweeps
-//!   (hundreds of thousands of scenarios) affordable.
+//! * [`sweep_failures`] crosses the patterns with a list of demand scalings.
+//!   It builds one intact-topology evaluator per scaling and runs
+//!   pattern-major, one `segrout-par` task per failure pattern. The task
+//!   repairs only the destinations whose shortest-path DAG used a failed
+//!   edge, once, because DAGs depend on weights and failed links but not on
+//!   traffic volume. It then folds every scaling's traffic over the repaired
+//!   DAGs. Each scenario is bit-identical to the read-only
+//!   [`IncrementalEvaluator::probe_disable`] edge-disable probe. Repair work
+//!   does not grow with the number of scalings, which is what makes
+//!   whole-fleet sweeps (hundreds of thousands of scenarios) affordable.
 //! * Scenarios that cut a demand off its destination are **classified**, not
 //!   errored: they surface as [`ScenarioOutcome::Disconnected`] with the
 //!   severed `(src, dst)` pair, and the sweep carries on.
@@ -298,13 +301,15 @@ fn scale_demands(demands: &DemandList, scale: f64) -> DemandList {
 /// the given workload and reports per-scenario outcomes plus the worst-case
 /// certificate.
 ///
-/// One [`IncrementalEvaluator`] is built per scaling (an intact-topology
-/// base state); each failure pattern is then answered by the read-only
-/// [`IncrementalEvaluator::probe_disable`], fanned out over the
-/// `segrout-par` pool. Results are deterministic and independent of the
-/// thread count — scenario outcomes are collected in sweep order, and each
-/// probe is bit-identical to a from-scratch evaluation of the edge-deleted
-/// topology.
+/// One intact-topology [`IncrementalEvaluator`] is built per scaling, and
+/// the sweep runs pattern-major: one `segrout-par` task per failure
+/// pattern repairs the DAGs that used a failed edge once, then folds every
+/// scaling's traffic over those repaired DAGs. DAGs depend on the weights
+/// and the failed links, never on traffic volume, so each scenario is
+/// bit-identical to [`IncrementalEvaluator::probe_disable`] on its own
+/// scaling's evaluator — and so to a from-scratch evaluation of the
+/// edge-deleted topology. Results are collected in scaling-major order
+/// and are independent of the thread count.
 ///
 /// Errors only if the *intact* workload fails to route for some scaling
 /// (failure-induced disconnections are classified per scenario instead).
@@ -325,46 +330,72 @@ pub fn sweep_failures(
         assert!(s.is_finite() && s > 0.0, "demand scaling must be positive");
     }
 
+    let evals = scalings
+        .iter()
+        .map(|&s| IncrementalEvaluator::new(net, weights, &scale_demands(demands, s), waypoints))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Each scaling folds over the repairs of the first evaluator with the
+    // same DAGs: evaluator 0 for all of them, unless scaling pushed some
+    // destination's whole traffic under the routing threshold.
+    let repairer: Vec<usize> = (0..evals.len())
+        .map(|s| {
+            (0..s)
+                .find(|&r| evals[r].shares_dags_with(&evals[s]))
+                .unwrap_or(s)
+        })
+        .collect();
+
+    let mut per_pattern = segrout_par::par_map(set.len(), |p| {
+        let dead = &set.patterns()[p].dead;
+        let mut repairs = Vec::with_capacity(evals.len());
+        let mut outcomes = Vec::with_capacity(evals.len());
+        for (si, eval) in evals.iter().enumerate() {
+            repairs.push((repairer[si] == si).then(|| eval.repair_disable(dead)));
+            let r = repairer[si];
+            let repaired = repairs[r]
+                .as_deref()
+                .expect("a repairer precedes its users");
+            outcomes.push(match eval.fold_disable(&evals[r], dead, repaired) {
+                Ok(probe) => Ok(ScenarioOutcome::Evaluated {
+                    mlu: probe.mlu,
+                    phi: probe.phi,
+                    dirty_dests: probe.dirty_count,
+                }),
+                Err(TeError::Unroutable { src, dst }) => {
+                    Ok(ScenarioOutcome::Disconnected { src, dst })
+                }
+                Err(other) => Err(other),
+            });
+        }
+        outcomes.into_iter()
+    });
+
     let (scen_counter, disc_counter, worst_gauge) = sweep_metrics();
+    let base_mlu: Vec<f64> = evals.iter().map(IncrementalEvaluator::mlu).collect();
     let mut results = Vec::with_capacity(set.len() * scalings.len());
-    let mut base_mlu = Vec::with_capacity(scalings.len());
     let mut evaluated = 0usize;
     let mut disconnects = 0usize;
     // Worst over evaluated scenarios: (mlu, index into `results`), ties to
     // the earliest scenario so the certificate is deterministic.
     let mut worst: Option<(f64, usize)> = None;
-
-    for (si, &scale) in scalings.iter().enumerate() {
-        let scaled = scale_demands(demands, scale);
-        let eval = IncrementalEvaluator::new(net, weights, &scaled, waypoints)?;
-        base_mlu.push(eval.mlu());
-        let outcomes =
-            segrout_par::par_map(set.len(), |p| eval.probe_disable(&set.patterns()[p].dead));
-        for (p, out) in outcomes.into_iter().enumerate() {
+    for si in 0..scalings.len() {
+        for (p, outcomes) in per_pattern.iter_mut().enumerate() {
             scen_counter.inc();
-            let outcome = match out {
-                Ok(probe) => {
+            let outcome = outcomes.next().expect("one outcome per scaling")?;
+            match outcome {
+                ScenarioOutcome::Evaluated { mlu, .. } => {
                     evaluated += 1;
-                    ScenarioOutcome::Evaluated {
-                        mlu: probe.mlu,
-                        phi: probe.phi,
-                        dirty_dests: probe.dirty_count,
+                    let better = match worst {
+                        None => true,
+                        Some((w, _)) => mlu.total_cmp(&w) == std::cmp::Ordering::Greater,
+                    };
+                    if better {
+                        worst = Some((mlu, results.len()));
                     }
                 }
-                Err(TeError::Unroutable { src, dst }) => {
+                ScenarioOutcome::Disconnected { .. } => {
                     disconnects += 1;
                     disc_counter.inc();
-                    ScenarioOutcome::Disconnected { src, dst }
-                }
-                Err(other) => return Err(other),
-            };
-            if let ScenarioOutcome::Evaluated { mlu, .. } = outcome {
-                let better = match worst {
-                    None => true,
-                    Some((w, _)) => mlu.total_cmp(&w) == std::cmp::Ordering::Greater,
-                };
-                if better {
-                    worst = Some((mlu, results.len()));
                 }
             }
             results.push(ScenarioResult {
@@ -381,9 +412,7 @@ pub fn sweep_failures(
         None => None,
         Some((mlu, idx)) => {
             let r = &results[idx];
-            let scaled = scale_demands(demands, scalings[r.scaling]);
-            let eval = IncrementalEvaluator::new(net, weights, &scaled, waypoints)?;
-            let probe = eval
+            let probe = evals[r.scaling]
                 .probe_disable(&set.patterns()[r.pattern].dead)
                 .expect("worst scenario evaluated in the sweep must re-evaluate");
             let caps = net.capacities();

@@ -196,9 +196,9 @@ thread_local! {
     /// thread-locals give each worker one allocation for the whole search
     /// instead of two per candidate.
     static SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Per-worker disabled-edge mask scratch for [`IncrementalEvaluator::probe_disable`]:
-    /// failure sweeps answer one probe per scenario, so the mask buffer must
-    /// not be reallocated per scenario either.
+    /// Per-worker disabled-edge mask scratch for the edge-disable repair:
+    /// failure sweeps repair once per pattern, so the mask buffer must not be
+    /// reallocated per pattern either.
     static MASK_SCRATCH: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -676,115 +676,160 @@ impl<'n> IncrementalEvaluator<'n> {
     ///
     /// [`FailureSet`]: crate::failure::FailureSet
     pub fn probe_disable(&self, dead: &[EdgeId]) -> Result<DisableProbe, TeError> {
+        let repaired = self.repair_disable(dead);
+        self.fold_disable(self, dead, &repaired)
+    }
+
+    /// `true` when `other` routes over the same SP-DAGs as `self`: same
+    /// network, same weights (bit for bit), same base mask and same
+    /// destination list. DAGs never depend on traffic volume, so evaluators
+    /// of one workload under different demand scalings share them.
+    pub(crate) fn shares_dags_with(&self, other: &IncrementalEvaluator<'_>) -> bool {
+        std::ptr::eq(self.net, other.net)
+            && self.dests == other.dests
+            && self.disabled == other.disabled
+            && self
+                .weights
+                .iter()
+                .map(|w| w.to_bits())
+                .eq(other.weights.iter().map(|w| w.to_bits()))
+    }
+
+    /// The repair step of [`probe_disable`](Self::probe_disable): masks
+    /// `dead` on top of the base mask and returns the `(dest index, DAG)`
+    /// pairs whose SP-DAG used a newly dead edge, repaired or rebuilt under
+    /// the full mask, ascending by index. It reads only weights, mask and
+    /// DAGs — no traffic — so its result serves every evaluator that
+    /// [shares these DAGs](Self::shares_dags_with).
+    pub(crate) fn repair_disable(&self, dead: &[EdgeId]) -> Vec<(usize, SpDag)> {
         let c = counters();
-        c.disable_probes.inc();
         let g = self.net.graph();
-        let n = self.net.node_count();
-        let m = self.net.edge_count();
         let recomputes = recompute_counter();
 
         MASK_SCRATCH.with(|mask_cell| {
-            SCRATCH.with(|s| {
-                let (node_flow, _) = &mut *s.borrow_mut();
-                node_flow.resize(n, 0.0);
-                let mask = &mut *mask_cell.borrow_mut();
-                mask.clear();
-                mask.resize(m, false);
-                if !self.disabled.is_empty() {
-                    mask.copy_from_slice(&self.disabled);
+            let mask = &mut *mask_cell.borrow_mut();
+            mask.clear();
+            mask.resize(self.net.edge_count(), false);
+            if !self.disabled.is_empty() {
+                mask.copy_from_slice(&self.disabled);
+            }
+            let mut new_dead = 0usize;
+            for &e in dead {
+                if !mask[e.index()] {
+                    mask[e.index()] = true;
+                    new_dead += 1;
                 }
-                let mut new_dead = 0usize;
+            }
+
+            let mut repaired = Vec::new();
+            if new_dead == 0 {
+                return repaired;
+            }
+            for (i, dag) in self.dags.iter().enumerate() {
+                // Removal never adds tight edges: a destination is dirty iff
+                // some dead edge is on its current DAG.
+                let mut on_dag = None;
+                let mut on_dag_count = 0usize;
                 for &e in dead {
-                    if !mask[e.index()] {
-                        mask[e.index()] = true;
-                        new_dead += 1;
+                    if !edge_disabled(&self.disabled, e) && dag.edge_on_dag[e.index()] {
+                        on_dag = Some(e);
+                        on_dag_count += 1;
                     }
                 }
-
-                let mut dirty: Vec<(usize, Arc<SpDag>)> = Vec::new();
-                let mut dirty_partials: Vec<f64> = Vec::new();
-                if new_dead > 0 {
-                    for (i, dag) in self.dags.iter().enumerate() {
-                        // Removal never adds tight edges: a destination is
-                        // dirty iff some dead edge is on its current DAG.
-                        let mut on_dag = None;
-                        let mut on_dag_count = 0usize;
-                        for &e in dead {
-                            if !edge_disabled(&self.disabled, e) && dag.edge_on_dag[e.index()] {
-                                on_dag = Some(e);
-                                on_dag_count += 1;
+                let dag = match (on_dag, on_dag_count) {
+                    (None, _) => continue,
+                    (Some(e), 1) => {
+                        // Bounded dynamic repair under the full mask: the
+                        // other dead edges are off this DAG, so `dag` is
+                        // already correct for the mask without `e`.
+                        match disable_edge_update(g, &self.weights, dag, e, self.frontier_cap, mask)
+                        {
+                            SpDagUpdate::Unchanged => {
+                                unreachable!("on-DAG edge disable cannot be clean")
                             }
-                        }
-                        let repaired = match (on_dag, on_dag_count) {
-                            (None, _) => continue,
-                            (Some(e), 1) => {
-                                // Bounded dynamic repair under the full mask:
-                                // the other dead edges are off this DAG, so
-                                // `dag` is already correct for the mask
-                                // without `e`.
-                                match disable_edge_update(
-                                    g,
-                                    &self.weights,
-                                    dag,
-                                    e,
-                                    self.frontier_cap,
-                                    mask,
-                                ) {
-                                    SpDagUpdate::Unchanged => {
-                                        unreachable!("on-DAG edge disable cannot be clean")
-                                    }
-                                    SpDagUpdate::Repaired(d, _) => {
-                                        c.repairs.inc();
-                                        d
-                                    }
-                                    SpDagUpdate::Rebuilt(d) => {
-                                        recomputes.inc();
-                                        d
-                                    }
-                                }
+                            SpDagUpdate::Repaired(d, _) => {
+                                c.repairs.inc();
+                                d
                             }
-                            _ => {
-                                // Two or more dead edges on one DAG (only
-                                // possible for multi-link scenarios): full
-                                // masked rebuild.
+                            SpDagUpdate::Rebuilt(d) => {
                                 recomputes.inc();
-                                shortest_path_dag_masked(g, &self.weights, dag.target, mask)
-                            }
-                        };
-                        // Failures can sever sources — recheck every seeded
-                        // injection before spreading (spread_seeded drops
-                        // flow at unreachable nodes silently).
-                        let seed_row = &self.seeds[i * n..(i + 1) * n];
-                        for (j, &f) in seed_row.iter().enumerate() {
-                            if f > 0.0 && !repaired.reaches_target(NodeId(j as u32)) {
-                                return Err(TeError::Unroutable {
-                                    src: NodeId(j as u32),
-                                    dst: self.dests[i],
-                                });
+                                d
                             }
                         }
-                        let base = dirty_partials.len();
-                        dirty_partials.resize(base + m, 0.0);
-                        node_flow.copy_from_slice(seed_row);
-                        spread_seeded(self.net, &repaired, &mut dirty_partials[base..], node_flow);
-                        dirty.push((i, Arc::new(repaired)));
+                    }
+                    _ => {
+                        // Two or more dead edges on one DAG (only possible
+                        // for multi-link scenarios): full masked rebuild.
+                        recomputes.inc();
+                        shortest_path_dag_masked(g, &self.weights, dag.target, mask)
+                    }
+                };
+                repaired.push((i, dag));
+            }
+            repaired
+        })
+    }
+
+    /// The fold step of [`probe_disable`](Self::probe_disable): spreads this
+    /// evaluator's traffic over the DAGs `repairer` produced for `dead` with
+    /// [`repair_disable`](Self::repair_disable), then folds loads, Φ and MLU.
+    /// Reachability is checked against this evaluator's own seeds, since
+    /// failures can sever sources.
+    pub(crate) fn fold_disable(
+        &self,
+        repairer: &IncrementalEvaluator<'_>,
+        dead: &[EdgeId],
+        repaired: &[(usize, SpDag)],
+    ) -> Result<DisableProbe, TeError> {
+        debug_assert!(
+            self.shares_dags_with(repairer),
+            "disable repairs are only valid for evaluators with the same DAGs"
+        );
+        let c = counters();
+        c.disable_probes.inc();
+        let n = self.net.node_count();
+        let m = self.net.edge_count();
+
+        let mut dirty_partials = vec![0.0; repaired.len() * m];
+        SCRATCH.with(|s| {
+            let (node_flow, _) = &mut *s.borrow_mut();
+            node_flow.resize(n, 0.0);
+            for (k, (i, dag)) in repaired.iter().enumerate() {
+                // Recheck every seeded injection before spreading
+                // (spread_seeded drops flow at unreachable nodes silently).
+                let seed_row = &self.seeds[i * n..(i + 1) * n];
+                for (j, &f) in seed_row.iter().enumerate() {
+                    if f > 0.0 && !dag.reaches_target(NodeId(j as u32)) {
+                        return Err(TeError::Unroutable {
+                            src: NodeId(j as u32),
+                            dst: self.dests[*i],
+                        });
                     }
                 }
-                c.dirty_dests.add(dirty.len() as u64);
-                c.clean_dests.add((self.dests.len() - dirty.len()) as u64);
+                node_flow.copy_from_slice(seed_row);
+                spread_seeded(
+                    self.net,
+                    dag,
+                    &mut dirty_partials[k * m..(k + 1) * m],
+                    node_flow,
+                );
+            }
+            Ok(())
+        })?;
+        c.dirty_dests.add(repaired.len() as u64);
+        c.clean_dests
+            .add((self.dests.len() - repaired.len()) as u64);
 
-                let mut loads = Vec::with_capacity(m);
-                self.fold_with_dirty(&dirty, &dirty_partials, &mut loads);
-                let phi = fortz_phi(&loads, &self.caps);
-                let mlu = max_link_utilization(&loads, &self.caps);
-                Ok(DisableProbe {
-                    dead: dead.to_vec(),
-                    loads,
-                    phi,
-                    mlu,
-                    dirty_count: dirty.len(),
-                })
-            })
+        let mut loads = Vec::with_capacity(m);
+        self.fold_with_dirty(repaired, &dirty_partials, &mut loads);
+        let phi = fortz_phi(&loads, &self.caps);
+        let mlu = max_link_utilization(&loads, &self.caps);
+        Ok(DisableProbe {
+            dead: dead.to_vec(),
+            loads,
+            phi,
+            mlu,
+            dirty_count: repaired.len(),
         })
     }
 

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod basis;
-pub mod lpwrite;
 pub mod milp;
 pub mod problem;
 pub mod reference;
@@ -35,7 +34,6 @@ pub mod revised;
 pub mod simplex;
 
 pub use basis::Basis;
-pub use lpwrite::to_lp_format;
 pub use milp::{solve_milp, MilpOptions, MilpResult, MilpStatus};
 pub use problem::{Cmp, Problem, Sense, VarId};
 pub use simplex::{

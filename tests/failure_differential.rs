@@ -16,7 +16,10 @@
 //!   the deleted-topology evaluation does;
 //! * the full probe bit-trace is identical across worker-thread counts
 //!   1 and 4 and across both Dijkstra engines (bucket queue and heap);
-//! * `sweep_failures` reports are bit-stable across the same grid.
+//! * `sweep_failures` reports are bit-stable across the same grid;
+//! * the pattern-major sweep (one repair per pattern, folded for every
+//!   scaling) matches a per-scaling `probe_disable` reference field by
+//!   field on double failures, at 1 and 4 threads.
 
 use segrout_core::rng::StdRng;
 use segrout_core::{
@@ -26,6 +29,7 @@ use segrout_core::{
 use segrout_graph::set_heap_only;
 use segrout_instances::{instance1, instance3, instance5};
 use segrout_topo::by_name;
+use segrout_traffic::{gravity, TrafficConfig};
 use std::sync::{Mutex, MutexGuard};
 
 /// Per-scenario bit signature: `(pattern, scaling, Some((mlu_bits, phi_bits)))`
@@ -299,5 +303,123 @@ fn sweep_reports_bit_stable_across_threads_and_engines() {
             &signatures[0], s,
             "sweep report {i} diverged across the thread-count × engine grid"
         );
+    }
+}
+
+/// Small double-failure cases that disconnect: TE-Instance 5 with its own
+/// demand, Abilene under gravity traffic, and Abilene with a destination
+/// whose only demand falls under the routing threshold at the lowest
+/// scaling (so that scaling's evaluator has a shorter destination list).
+fn double_failure_cases() -> Vec<(String, Network, DemandList)> {
+    let inst = instance5(3);
+    let abilene = by_name("Abilene").expect("embedded");
+    let traffic = gravity(
+        &abilene,
+        &TrafficConfig {
+            seed: 13,
+            ..Default::default()
+        },
+    )
+    .expect("Abilene is connected");
+    let mut tiny = DemandList::new();
+    tiny.push(NodeId(0), NodeId(5), 10.0);
+    tiny.push(NodeId(3), NodeId(7), 4.0);
+    tiny.push(NodeId(2), NodeId(9), 1.2e-9);
+    vec![
+        ("instance5(m=3)".to_string(), inst.network, inst.demands),
+        ("Abilene gravity".to_string(), abilene.clone(), traffic),
+        ("Abilene tiny demand".to_string(), abilene, tiny),
+    ]
+}
+
+#[test]
+fn pattern_major_sweep_matches_per_scaling_probes() {
+    let _guard = global_lock();
+    let _restore = Restore;
+    let scalings = [0.8, 1.0, 1.2];
+    for (label, net, demands) in double_failure_cases() {
+        let ws = WeightSetting::new(
+            &net,
+            integral_weights(net.edge_count(), 0xd0b1 + net.edge_count() as u64),
+        )
+        .expect("weights in range");
+        let wp = WaypointSetting::none(demands.len());
+        let set = FailureSet::enumerate(&net, true);
+        let scaled: Vec<DemandList> = scalings
+            .iter()
+            .map(|&s| {
+                let mut d = DemandList::new();
+                for x in demands.iter() {
+                    d.push(x.src, x.dst, x.size * s);
+                }
+                d
+            })
+            .collect();
+
+        for threads in [1usize, 4] {
+            segrout_par::set_threads(threads);
+            let rep =
+                sweep_failures(&net, &ws, &demands, &wp, &set, &scalings).expect("intact routable");
+            assert_eq!(rep.results.len(), set.len() * scalings.len(), "{label}");
+            let mut disconnects = 0usize;
+            let mut reference_worst: Option<(f64, usize, usize, Vec<f64>)> = None;
+            for (si, d) in scaled.iter().enumerate() {
+                let ev = IncrementalEvaluator::new(&net, &ws, d, &wp).expect("intact routable");
+                assert_eq!(rep.base_mlu[si].to_bits(), ev.mlu().to_bits(), "{label}");
+                for (p, pattern) in set.patterns().iter().enumerate() {
+                    let r = &rep.results[si * set.len() + p];
+                    assert_eq!((r.pattern, r.scaling), (p, si), "{label}: result order");
+                    let at = format!(
+                        "{label} x{} {:?} ({threads} threads)",
+                        scalings[si], pattern.dead
+                    );
+                    match (ev.probe_disable(&pattern.dead), &r.outcome) {
+                        (
+                            Ok(probe),
+                            ScenarioOutcome::Evaluated {
+                                mlu,
+                                phi,
+                                dirty_dests,
+                            },
+                        ) => {
+                            assert_eq!(probe.mlu.to_bits(), mlu.to_bits(), "{at}: MLU");
+                            assert_eq!(probe.phi.to_bits(), phi.to_bits(), "{at}: Φ");
+                            assert_eq!(probe.dirty_count, *dirty_dests, "{at}: dirty count");
+                            let better = reference_worst
+                                .as_ref()
+                                .is_none_or(|w| probe.mlu.total_cmp(&w.0).is_gt());
+                            if better {
+                                reference_worst = Some((probe.mlu, p, si, probe.loads));
+                            }
+                        }
+                        (
+                            Err(TeError::Unroutable { src, dst }),
+                            ScenarioOutcome::Disconnected { src: s2, dst: d2 },
+                        ) => {
+                            assert_eq!((src, dst), (*s2, *d2), "{at}: severed pair");
+                            disconnects += 1;
+                        }
+                        (probe, outcome) => {
+                            panic!("{at}: reference {probe:?} but sweep {outcome:?}")
+                        }
+                    }
+                }
+            }
+            assert!(disconnects > 0, "{label}: the disconnect arm never ran");
+            assert_eq!(rep.disconnects, disconnects, "{label}");
+            let (mlu, p, si, loads) = reference_worst.expect("some scenario routes");
+            let cert = rep.worst.as_ref().expect("some scenario routes");
+            assert_eq!(
+                (cert.pattern, cert.scaling),
+                (p, si),
+                "{label}: worst scenario"
+            );
+            assert_eq!(cert.mlu.to_bits(), mlu.to_bits(), "{label}: worst MLU");
+            assert_eq!(
+                cert.bottleneck_load.to_bits(),
+                loads[cert.bottleneck.index()].to_bits(),
+                "{label}: bottleneck load"
+            );
+        }
     }
 }

@@ -140,3 +140,32 @@ fn eof_without_shutdown_exits_cleanly() {
         "summary goes to stderr:\n{stderr}"
     );
 }
+
+#[test]
+fn deeply_nested_json_gets_an_error_reply_and_the_daemon_stays_up() {
+    let input = format!(
+        "{}\n{{\"event\":\"noop\"}}\n{{\"event\":\"shutdown\"}}\n",
+        "[".repeat(200_000)
+    );
+    let (stdout, stderr, ok) = run_serve(&input, &[]);
+    assert!(ok, "serve must survive deep nesting; stderr:\n{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "stdout:\n{stdout}");
+
+    let rec = segrout::obs::Json::parse(lines[0]).expect("error reply is JSON");
+    assert_eq!(rec["tier"].as_str(), Some("error"));
+    let err = rec["error"].as_str().expect("error reason present");
+    assert!(
+        err.contains("invalid JSON") && err.contains("nesting"),
+        "reason {err:?}"
+    );
+    let next = segrout::obs::Json::parse(lines[1]).expect("noop reply is JSON");
+    assert_eq!(
+        next["tier"].as_str(),
+        Some("none"),
+        "daemon answers the next event"
+    );
+    assert_eq!(next["seq"].as_i64(), Some(2));
+    let bye = segrout::obs::Json::parse(lines[2]).expect("ack is JSON");
+    assert_eq!(bye["type"].as_str(), Some("bye"));
+}
