@@ -38,6 +38,12 @@ use segrout_core::{
     WeightSetting,
 };
 
+/// Longest event line a serving daemon accepts, in bytes (newline
+/// excluded). Germany50's full 21 560-demand matrix event is about 0.7 MB;
+/// a longer line draws an error reply and is discarded, so one peer cannot
+/// make the daemon buffer without bound.
+pub const MAX_EVENT_LINE_BYTES: usize = 64 << 20;
+
 /// One event on the serving input stream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServeEvent {

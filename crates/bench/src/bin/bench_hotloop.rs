@@ -1,36 +1,34 @@
 //! Flat-memory hot-loop throughput and scaling on Germany50.
 //!
-//! PR 3's `bench_incremental` pinned the incremental evaluator's serial
+//! `bench_incremental` pinned the incremental evaluator's serial
 //! probe throughput; this bench measures what the flat-memory refactor —
-//! CSR SP-DAG arenas, the prefix-fold load arena and the bucket-queue
-//! (Dial) Dijkstra — adds on top, and how the tuned `segrout-par` pool
-//! scales it across threads. Four questions, answered on the *same*
-//! topology, demand matrix, base weights and candidate stream as
-//! `bench_incremental` (so the numbers are directly comparable):
+//! CSR SP-DAG arenas and the prefix-fold load arena — adds on top, and how
+//! the tuned `segrout-par` pool scales it across threads. Three questions,
+//! answered on the *same* topology, demand matrix, base weights and
+//! candidate stream as `bench_incremental` (so the numbers are directly
+//! comparable):
 //!
-//! 1. serial probe candidate-evals/sec, bucket queue vs forced-heap A/B;
-//! 2. speedup over the committed PR 3 baseline (`BENCH_incremental.json`,
-//!    threads=1 `probe_candidates_per_sec`), with a live forced-heap rerun
-//!    as fallback baseline when no committed record exists;
+//! 1. serial probe candidate-evals/sec, against a from-scratch `Router`
+//!    evaluation of every candidate;
+//! 2. speedup over the committed incremental baseline (`BENCH_incremental.json`,
+//!    threads=1 `probe_candidates_per_sec`), reported only when a full
+//!    committed record exists;
 //! 3. scaling: probe sweep at 1/2/4/8 threads, speedup and efficiency per
 //!    leg (honest about `host_cpus` — on a 1-core container every parallel
-//!    leg measures scheduling overhead, not speedup);
-//! 4. a serial HeurOSPF descent wall-time A/B between the two engines.
+//!    leg measures scheduling overhead, not speedup).
 //!
-//! Every sweep is verified bit-identical across engines and thread counts
-//! before any number is reported. Results land in `BENCH_hotloop.json`
-//! (+ `.run.json` provenance); `SEGROUT_FAST=1` shrinks the stream and
-//! writes `BENCH_hotloop_fast.json` so CI smoke runs never clobber the
-//! committed full record.
+//! Every sweep is verified bit-identical to the from-scratch answers and
+//! across thread counts before any number is reported. Results land in
+//! `BENCH_hotloop.json` (+ `.run.json` provenance); `SEGROUT_FAST=1` shrinks
+//! the stream and writes `BENCH_hotloop_fast.json` so CI smoke runs never
+//! clobber the committed full record.
 
-use segrout_algos::{heur_ospf, HeurOspfConfig};
 use segrout_bench::{banner, fast_mode};
 use segrout_core::rng::StdRng;
 use segrout_core::{
     fortz_phi, DemandList, EdgeId, IncrementalEvaluator, Network, Router, WaypointSetting,
     WeightSetting,
 };
-use segrout_graph::set_heap_only;
 use segrout_obs::{json, Json};
 use segrout_topo::by_name;
 use segrout_traffic::{mcf_synthetic, TrafficConfig};
@@ -81,35 +79,6 @@ fn timed_probe_sweep(
     (answers, best)
 }
 
-/// Serial engine A/B with *interleaved* repetitions: heap and bucket sweeps
-/// alternate within each round, so a drift in host speed between rounds hits
-/// both engines equally instead of biasing whichever ran later. Returns
-/// `(heap_answers, heap_cps, bucket_answers, bucket_cps)` (best-of-N each).
-fn interleaved_engine_ab(
-    ev: &IncrementalEvaluator,
-    stream: &[(EdgeId, f64)],
-    reps: usize,
-) -> (SweepBits, f64, SweepBits, f64) {
-    set_heap_only(true);
-    let heap_answers = probe_sweep(ev, stream);
-    set_heap_only(false);
-    let bucket_answers = probe_sweep(ev, stream);
-    let (mut heap_best, mut bucket_best) = (0.0f64, 0.0f64);
-    for _ in 0..reps {
-        set_heap_only(true);
-        let t0 = Instant::now();
-        let h = probe_sweep(ev, stream);
-        heap_best = heap_best.max(stream.len() as f64 / t0.elapsed().as_secs_f64());
-        set_heap_only(false);
-        let t0 = Instant::now();
-        let b = probe_sweep(ev, stream);
-        bucket_best = bucket_best.max(stream.len() as f64 / t0.elapsed().as_secs_f64());
-        assert_eq!(h, heap_answers, "heap sweep is not deterministic");
-        assert_eq!(b, bucket_answers, "bucket sweep is not deterministic");
-    }
-    (heap_answers, heap_best, bucket_answers, bucket_best)
-}
-
 fn scratch_sweep(
     net: &Network,
     demands: &DemandList,
@@ -148,7 +117,7 @@ fn pr3_baseline() -> Option<f64> {
 
 fn main() {
     banner(
-        "BENCH_hotloop — CSR arenas + bucket-queue Dijkstra: throughput and scaling (Germany50)",
+        "BENCH_hotloop — CSR arenas + prefix-fold load arena: throughput and scaling (Germany50)",
     );
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     println!("host cores: {host_cpus}\n");
@@ -181,63 +150,46 @@ fn main() {
     let ev = IncrementalEvaluator::new(&net, &ws, &demands, &wp).expect("routes");
     let stream = candidate_stream(net.edge_count(), candidates, 0x5eed5);
 
-    let bucket_ops = segrout_obs::counter("dijkstra.bucket_ops");
     let arena_reuses = segrout_obs::counter("arena.reuses");
     let arena_rebuilds = segrout_obs::counter("arena.rebuilds");
 
-    // --- serial engine A/B ----------------------------------------------
+    // --- serial probe vs from-scratch evaluation ------------------------
     let reps = if fast_mode() { 1 } else { 3 };
     segrout_par::set_threads(1);
-    let b0 = bucket_ops.get();
-    let (heap_answers, heap_cps, bucket_answers, bucket_cps) =
-        interleaved_engine_ab(&ev, &stream, reps);
-    let sweep_bucket_ops = (bucket_ops.get() - b0) / (reps as u64 + 1);
-
-    set_heap_only(true);
+    let (probe_answers, probe_cps) = timed_probe_sweep(&ev, &stream, reps);
     let t0 = Instant::now();
-    let heap_scratch = scratch_sweep(&net, &demands, &base, &stream);
-    let heap_scratch_cps = candidates as f64 / t0.elapsed().as_secs_f64();
-    set_heap_only(false);
-    let t0 = Instant::now();
-    let bucket_scratch = scratch_sweep(&net, &demands, &base, &stream);
-    let bucket_scratch_cps = candidates as f64 / t0.elapsed().as_secs_f64();
-
+    let scratch = scratch_sweep(&net, &demands, &base, &stream);
+    let scratch_cps = candidates as f64 / t0.elapsed().as_secs_f64();
     assert_eq!(
-        heap_answers, bucket_answers,
-        "engine A/B diverged: bucket probes != heap probes"
-    );
-    assert_eq!(
-        heap_scratch, bucket_scratch,
-        "engine A/B diverged: bucket scratch != heap scratch"
-    );
-    assert_eq!(
-        bucket_answers, bucket_scratch,
+        probe_answers, scratch,
         "probe answers diverged from scratch answers"
     );
-    println!("\nserial engine A/B (candidate evals/sec, bit-identical verified):");
+    println!("\nserial candidate evals/sec (bit-identical verified):");
     println!(
-        "  probe   bucket {bucket_cps:>10.1}  heap {heap_cps:>10.1}  ({:.2}x)",
-        bucket_cps / heap_cps
-    );
-    println!(
-        "  scratch bucket {bucket_scratch_cps:>10.1}  heap {heap_scratch_cps:>10.1}  ({:.2}x)",
-        bucket_scratch_cps / heap_scratch_cps
+        "  probe {probe_cps:>10.1}  scratch {scratch_cps:>10.1}  ({:.1}x)",
+        probe_cps / scratch_cps
     );
 
-    // --- speedup vs the PR 3 committed baseline -------------------------
-    let (pr3_cps, pr3_source) = match pr3_baseline() {
-        Some(cps) if !fast_mode() => (cps, "BENCH_incremental.json (committed PR 3 record)"),
-        _ => (heap_cps, "live forced-heap rerun (no comparable record)"),
+    // --- speedup vs the committed incremental baseline -----------------
+    let pr3 = match pr3_baseline() {
+        Some(pr3_cps) if !fast_mode() => {
+            let speedup_vs_pr3 = probe_cps / pr3_cps;
+            println!(
+                "\nserial probe speedup vs the incremental baseline: {speedup_vs_pr3:.2}x \
+                 ({probe_cps:.1} vs {pr3_cps:.1} c/s; BENCH_incremental.json)"
+            );
+            json!({
+                "probe_candidates_per_sec": pr3_cps,
+                "source": "BENCH_incremental.json (committed record)",
+                "speedup_vs_pr3": speedup_vs_pr3,
+            })
+        }
+        _ => Json::Null,
     };
-    let speedup_vs_pr3 = bucket_cps / pr3_cps;
-    println!(
-        "\nserial probe speedup vs PR 3 incremental baseline: {speedup_vs_pr3:.2}x \
-         ({bucket_cps:.1} vs {pr3_cps:.1} c/s; baseline = {pr3_source})"
-    );
 
     // --- scaling legs ----------------------------------------------------
     let mut legs = Vec::new();
-    let mut cps_at_1 = bucket_cps;
+    let mut cps_at_1 = probe_cps;
     println!(
         "\n{:<8} {:>14} {:>9} {:>11} {:>10}",
         "threads", "probe(c/s)", "speedup", "efficiency", "identical"
@@ -245,7 +197,7 @@ fn main() {
     for threads in [1usize, 2, 4, 8] {
         segrout_par::set_threads(threads);
         let (answers, cps) = timed_probe_sweep(&ev, &stream, reps);
-        let identical = answers == bucket_answers;
+        let identical = answers == probe_answers;
         assert!(identical, "{threads}-thread sweep diverged bitwise");
         if threads == 1 {
             cps_at_1 = cps;
@@ -267,44 +219,15 @@ fn main() {
             "identical": identical,
         }));
     }
+    segrout_par::set_threads(0);
     if host_cpus == 1 {
         println!(
             "  (host has 1 core: parallel legs measure scheduling overhead, not speedup; \
              the >1x acceptance criterion applies only when host_cpus > 1)"
         );
     }
-
-    // --- serial HeurOSPF descent A/B ------------------------------------
-    segrout_par::set_threads(1);
-    let cfg = HeurOspfConfig {
-        seed: 42,
-        restarts: 0,
-        max_passes: if fast_mode() { 2 } else { 6 },
-        use_incremental: true,
-        ..Default::default()
-    };
-    set_heap_only(true);
-    let t0 = Instant::now();
-    let w_heap = heur_ospf(&net, &demands, &cfg);
-    let heap_descent_ms = t0.elapsed().as_secs_f64() * 1e3;
-    set_heap_only(false);
-    let t0 = Instant::now();
-    let w_bucket = heur_ospf(&net, &demands, &cfg);
-    let bucket_descent_ms = t0.elapsed().as_secs_f64() * 1e3;
-    segrout_par::set_threads(0);
-    assert_eq!(
-        w_heap.as_slice(),
-        w_bucket.as_slice(),
-        "the two engines traced different descents"
-    );
     println!(
-        "\nHeurOSPF descent (serial, incremental scorer): bucket {bucket_descent_ms:.0} ms, \
-         heap {heap_descent_ms:.0} ms ({:.2}x)",
-        heap_descent_ms / bucket_descent_ms
-    );
-    println!(
-        "hotloop counters: dijkstra.bucket_ops={} arena.reuses={} arena.rebuilds={}",
-        bucket_ops.get(),
+        "hotloop counters: arena.reuses={} arena.rebuilds={}",
         arena_reuses.get(),
         arena_rebuilds.get()
     );
@@ -316,27 +239,13 @@ fn main() {
         "host_cpus": host_cpus,
         "fast_mode": fast_mode(),
         "serial": json!({
-            "probe_bucket_cps": bucket_cps,
-            "probe_heap_cps": heap_cps,
-            "scratch_bucket_cps": bucket_scratch_cps,
-            "scratch_heap_cps": heap_scratch_cps,
-            "engine_ab_identical": true,
+            "probe_cps": probe_cps,
+            "scratch_cps": scratch_cps,
+            "probe_scratch_identical": true,
         }),
-        "pr3_baseline": json!({
-            "probe_candidates_per_sec": pr3_cps,
-            "source": pr3_source,
-            "speedup_vs_pr3": speedup_vs_pr3,
-        }),
+        "pr3_baseline": pr3,
         "scaling": legs,
-        "heur_ospf_descent": json!({
-            "bucket_ms": bucket_descent_ms,
-            "heap_ms": heap_descent_ms,
-            "wall_speedup": heap_descent_ms / bucket_descent_ms,
-            "identical_weights": true,
-        }),
         "counters": json!({
-            "sweep_bucket_ops": sweep_bucket_ops,
-            "dijkstra_bucket_ops": bucket_ops.get(),
             "arena_reuses": arena_reuses.get(),
             "arena_rebuilds": arena_rebuilds.get(),
         }),

@@ -7,73 +7,40 @@
 //! plus the subgraph of links `(u, v)` with `dist(u) = w(u,v) + dist(v)` —
 //! the *shortest-path DAG* to `t`.
 //!
-//! Two queue engines back [`single_target_distances`]:
+//! [`single_target_distances`] runs the classic `BinaryHeap` Dijkstra: one
+//! engine for every weight setting, integral or not. Integral weights make
+//! every finite distance an exact integer far below 2^53, so the `f64`
+//! distances and — through the shared [`dag_from_dist`] builder — the DAGs
+//! are exact, and the dynamic-repair path below reproduces them bit for bit.
 //!
-//! * a **monotone bucket queue** (Dial's algorithm) for the integer weight
-//!   domain `[1, w_max]` every optimizer in this workspace emits — O(1)
-//!   pushes into a ring of `w_max + 1` buckets instead of heap sifts;
-//! * the classic `BinaryHeap`, kept verbatim as
-//!   [`single_target_distances_heap`] — both the fallback for non-integral
-//!   weights and the differential **oracle** the bucket queue is pinned
-//!   against (see `tests/hotloop_differential.rs`).
-//!
-//! Integral weights make every finite distance an exact integer far below
-//! 2^53, so both engines compute bit-identical `f64` distance vectors and —
-//! through the shared [`dag_from_dist`] builder — bit-identical DAGs.
-//!
-//! Both engines, the DAG builder and the dynamic-repair path additionally
-//! honor an optional **disabled-edge mask** (`_masked` entry points): a
+//! The distance runs, the DAG builder and the dynamic-repair path honor an
+//! optional **disabled-edge mask** (`_masked` entry points): a
 //! disabled edge is skipped during relaxation and excluded from the
 //! tight-edge scan, which is *exactly* the arithmetic of deleting the edge
 //! and re-running from scratch — the remaining edges relax in the same order
 //! with the same `f64` operations, so masked results are bit-identical to
 //! the edge-deleted graph. This is how link failures are modelled: weights
-//! stay finite (the bucket queue keeps its `[1, MAX_DIAL_WEIGHT]` domain)
-//! and a failure is a mask bit, not a weight perturbation. Nodes cut off by
-//! a failure end at [`INFINITY`], a classified outcome rather than an error.
+//! stay finite and a failure is a mask bit, not a weight perturbation. Nodes
+//! cut off by a failure end at [`INFINITY`], a classified outcome rather
+//! than an error.
 
 use crate::digraph::{Digraph, EdgeId, NodeId};
 use crate::{approx_eq, EPS};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
 /// Distance value for unreachable nodes.
 pub const INFINITY: f64 = f64::INFINITY;
 
-/// Largest integral weight the bucket queue accepts. Beyond this the ring
-/// of `w_max + 1` buckets stops paying for itself and the heap engine takes
-/// over. Fortz–Thorup weight search stays in `[1, ~20]`; this cap leaves two
-/// orders of magnitude of headroom.
-pub const MAX_DIAL_WEIGHT: u32 = 4096;
-
-/// When set, [`single_target_distances`] always uses the `BinaryHeap`
-/// engine. Used by benches for A/B timing and by differential tests.
-static HEAP_ONLY: AtomicBool = AtomicBool::new(false);
-
-/// Forces (`true`) or re-enables dispatch away from (`false`) the
-/// `BinaryHeap` engine. Global: intended for benches and differential
-/// harnesses, not concurrent toggling.
-pub fn set_heap_only(on: bool) {
-    HEAP_ONLY.store(on, AtomicOrdering::Relaxed);
-}
-
-/// `true` if bucket-queue dispatch is currently disabled.
-pub fn heap_only() -> bool {
-    HEAP_ONLY.load(AtomicOrdering::Relaxed)
-}
-
 /// The `dijkstra.*` counter handles, resolved once: Dijkstra runs are
 /// frequent and short, so they must not pay a registry lookup each time.
-/// Order: (relaxations, runs, bucket_ops).
+/// Order: (relaxations, runs).
 fn counters() -> &'static (
-    std::sync::Arc<segrout_obs::Counter>,
     std::sync::Arc<segrout_obs::Counter>,
     std::sync::Arc<segrout_obs::Counter>,
 ) {
     static HANDLES: std::sync::OnceLock<(
-        std::sync::Arc<segrout_obs::Counter>,
         std::sync::Arc<segrout_obs::Counter>,
         std::sync::Arc<segrout_obs::Counter>,
     )> = std::sync::OnceLock::new();
@@ -81,7 +48,6 @@ fn counters() -> &'static (
         (
             segrout_obs::counter("dijkstra.relaxations"),
             segrout_obs::counter("dijkstra.runs"),
-            segrout_obs::counter("dijkstra.bucket_ops"),
         )
     })
 }
@@ -131,116 +97,9 @@ fn check_mask(g: &Digraph, disabled: &[bool]) {
     );
 }
 
-/// Checks whether `weights` lies in the bucket-queue domain: every weight an
-/// exact integer in `[1, MAX_DIAL_WEIGHT]`, with all shortest-path sums
-/// (< `n` hops each) guaranteed to fit `u32`. Returns the maximum weight.
-fn dial_weight_domain(n: usize, weights: &[f64]) -> Option<u32> {
-    let mut wmax = 0u32;
-    for &w in weights {
-        if !(1.0..=MAX_DIAL_WEIGHT as f64).contains(&w) || w.fract() != 0.0 {
-            return None;
-        }
-        wmax = wmax.max(w as u32);
-    }
-    if (n as u64) * (wmax as u64) >= u32::MAX as u64 {
-        return None;
-    }
-    Some(wmax)
-}
-
-/// Reusable bucket-queue scratch. The ring buckets drain empty on every run
-/// (each push is matched by a pop before termination), so only `dist_int`
-/// and the integerized weights need re-filling per run — the bucket `Vec`s
-/// keep their capacity across the millions of runs a weight search performs.
-struct DialScratch {
-    dist_int: Vec<u32>,
-    wi: Vec<u32>,
-    ring: Vec<Vec<u32>>,
-}
-
-thread_local! {
-    static DIAL: RefCell<DialScratch> = const {
-        RefCell::new(DialScratch {
-            dist_int: Vec::new(),
-            wi: Vec::new(),
-            ring: Vec::new(),
-        })
-    };
-}
-
-/// Dial's algorithm: monotone Dijkstra over a ring of `wmax + 1` buckets.
-/// Requires `dial_weight_domain` to have accepted `weights`. The `MASKED`
+/// The `BinaryHeap` Dijkstra behind both public entry points. The `MASKED`
 /// instantiation skips disabled edges during relaxation (monomorphized so
 /// the intact-topology loop carries no mask branch).
-fn dial_run<const MASKED: bool>(
-    g: &Digraph,
-    weights: &[f64],
-    wmax: u32,
-    target: NodeId,
-    disabled: &[bool],
-) -> Vec<f64> {
-    let n = g.node_count();
-    let ring_len = wmax as usize + 1;
-    DIAL.with(|s| {
-        let mut s = s.borrow_mut();
-        let DialScratch { dist_int, wi, ring } = &mut *s;
-        dist_int.clear();
-        dist_int.resize(n, u32::MAX);
-        wi.clear();
-        wi.extend(weights.iter().map(|&w| w as u32));
-        if ring.len() < ring_len {
-            ring.resize_with(ring_len, Vec::new);
-        }
-
-        dist_int[target.index()] = 0;
-        ring[0].push(target.0);
-        let mut pending = 1usize;
-        let mut cur: u64 = 0;
-        let mut relaxations: u64 = 0;
-        let mut bucket_ops: u64 = 1;
-        while pending > 0 {
-            let b = (cur % ring_len as u64) as usize;
-            while let Some(vi) = ring[b].pop() {
-                pending -= 1;
-                if dist_int[vi as usize] as u64 != cur {
-                    continue; // stale entry superseded by a later decrease
-                }
-                // Settled: monotonicity means no future relaxation can
-                // produce a key < cur, and strict-improvement pushes mean at
-                // most one live entry per (node, key) pair.
-                for &e in g.in_edges(NodeId(vi)) {
-                    if MASKED && disabled[e.index()] {
-                        continue;
-                    }
-                    let u = g.src(e);
-                    relaxations += 1;
-                    let nd = cur as u32 + wi[e.index()];
-                    if nd < dist_int[u.index()] {
-                        dist_int[u.index()] = nd;
-                        // nd ∈ [cur+1, cur+wmax] never aliases bucket b.
-                        ring[nd as usize % ring_len].push(u.0);
-                        pending += 1;
-                        bucket_ops += 1;
-                    }
-                }
-            }
-            cur += 1;
-        }
-
-        let (relax_counter, runs_counter, bucket_counter) = counters();
-        relax_counter.add(relaxations);
-        runs_counter.inc();
-        bucket_counter.add(bucket_ops);
-
-        dist_int
-            .iter()
-            .map(|&d| if d == u32::MAX { INFINITY } else { d as f64 })
-            .collect()
-    })
-}
-
-/// The `BinaryHeap` engine, shared by both public entry points. As with
-/// [`dial_run`], the `MASKED` instantiation skips disabled edges.
 fn heap_run<const MASKED: bool>(
     g: &Digraph,
     weights: &[f64],
@@ -279,7 +138,7 @@ fn heap_run<const MASKED: bool>(
             }
         }
     }
-    let (relax_counter, runs_counter, _) = counters();
+    let (relax_counter, runs_counter) = counters();
     relax_counter.add(relaxations);
     runs_counter.inc();
     dist
@@ -300,9 +159,7 @@ fn check_weights(g: &Digraph, weights: &[f64]) {
 /// Computes `dist(v, target)` for every node `v`, i.e. the cost of the
 /// cheapest directed path from `v` to `target` under `weights`.
 ///
-/// Unreachable nodes get [`INFINITY`]. Dispatches to the bucket-queue engine
-/// when the weights are integral in `[1, MAX_DIAL_WEIGHT]` (bit-identical
-/// result — see module docs), to the `BinaryHeap` engine otherwise.
+/// Unreachable nodes get [`INFINITY`].
 ///
 /// # Panics
 /// Panics if `weights.len() != g.edge_count()` or any weight is not a
@@ -310,53 +167,14 @@ fn check_weights(g: &Digraph, weights: &[f64]) {
 /// link to a positive real).
 pub fn single_target_distances(g: &Digraph, weights: &[f64], target: NodeId) -> Vec<f64> {
     check_weights(g, weights);
-    run_engine(g, weights, target, &[])
+    heap_run::<false>(g, weights, target, &[])
 }
 
 /// [`single_target_distances`] under a disabled-edge mask: disabled edges
 /// are skipped exactly as if deleted (bit-identical distances — see module
 /// docs). An empty mask is the intact topology. Weights of disabled edges
-/// must still be valid (they are never read into a path sum but keep the
-/// bucket-queue weight domain decidable).
+/// must still be valid positive reals, although they never enter a path sum.
 pub fn single_target_distances_masked(
-    g: &Digraph,
-    weights: &[f64],
-    target: NodeId,
-    disabled: &[bool],
-) -> Vec<f64> {
-    check_weights(g, weights);
-    check_mask(g, disabled);
-    run_engine(g, weights, target, disabled)
-}
-
-/// Engine dispatch shared by the masked and unmasked entry points.
-fn run_engine(g: &Digraph, weights: &[f64], target: NodeId, disabled: &[bool]) -> Vec<f64> {
-    if !heap_only() {
-        if let Some(wmax) = dial_weight_domain(g.node_count(), weights) {
-            return if disabled.is_empty() {
-                dial_run::<false>(g, weights, wmax, target, disabled)
-            } else {
-                dial_run::<true>(g, weights, wmax, target, disabled)
-            };
-        }
-    }
-    if disabled.is_empty() {
-        heap_run::<false>(g, weights, target, disabled)
-    } else {
-        heap_run::<true>(g, weights, target, disabled)
-    }
-}
-
-/// The `BinaryHeap` reference engine, exposed as the differential oracle for
-/// the bucket queue. Same contract as [`single_target_distances`].
-pub fn single_target_distances_heap(g: &Digraph, weights: &[f64], target: NodeId) -> Vec<f64> {
-    check_weights(g, weights);
-    heap_run::<false>(g, weights, target, &[])
-}
-
-/// The `BinaryHeap` oracle under a disabled-edge mask. Same contract as
-/// [`single_target_distances_masked`].
-pub fn single_target_distances_heap_masked(
     g: &Digraph,
     weights: &[f64],
     target: NodeId,
@@ -640,11 +458,6 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
 /// the patched distances. When the affected set exceeds `frontier_cap` nodes
 /// the bounded repair is abandoned and a full per-destination Dijkstra runs
 /// instead ([`SpDagUpdate::Rebuilt`]).
-///
-/// The restricted re-runs keep the `BinaryHeap`: repair frontiers are capped
-/// at a few dozen nodes, where a heap beats allocating a distance-spanning
-/// bucket ring. (Full rebuilds go through [`shortest_path_dag`] and get the
-/// bucket queue.)
 ///
 /// With tie-exact weights (e.g. the integral vectors every optimizer in this
 /// workspace emits) the repaired DAG is **bit-identical** to
@@ -1077,46 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_and_heap_distances_bit_identical() {
-        let mut state = 0x1234_5678_9abc_def0u64;
-        for _ in 0..40 {
-            let n = 5 + (xorshift(&mut state) % 12) as usize;
-            let g = random_graph(&mut state, n);
-            let w: Vec<f64> = (0..g.edge_count())
-                .map(|_| (1 + xorshift(&mut state) % 20) as f64)
-                .collect();
-            assert!(dial_weight_domain(n, &w).is_some());
-            for t in 0..n {
-                let target = NodeId(t as u32);
-                let dial = single_target_distances(&g, &w, target);
-                let heap = single_target_distances_heap(&g, &w, target);
-                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&dial), bits(&heap), "target {target:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn dial_domain_rejects_out_of_range_weights() {
-        assert_eq!(dial_weight_domain(10, &[1.0, 20.0]), Some(20));
-        assert!(dial_weight_domain(10, &[1.5]).is_none()); // fractional
-        assert!(dial_weight_domain(10, &[0.5]).is_none()); // below 1
-        assert!(dial_weight_domain(10, &[MAX_DIAL_WEIGHT as f64 + 1.0]).is_none());
-        // n * wmax must fit u32: a billion-node graph with wmax 4096 cannot.
-        assert!(dial_weight_domain(1 << 30, &[MAX_DIAL_WEIGHT as f64]).is_none());
-    }
-
-    #[test]
-    fn non_integral_weights_fall_back_to_heap() {
-        let (g, _) = weighted_diamond();
-        let w = vec![1.5, 1.5, 1.0, 2.5, 4.5];
-        let d = single_target_distances(&g, &w, NodeId(3));
-        let h = single_target_distances_heap(&g, &w, NodeId(3));
-        assert_eq!(d, h);
-        assert_eq!(d[0], 3.0); // 0->1->3 at 1.5 + 1.5
-    }
-
-    #[test]
     fn csr_offsets_prefix_sums() {
         assert_eq!(csr_offsets(&[2, 0, 3]), vec![0, 2, 2, 5]);
         assert_eq!(csr_offsets(&[]), vec![0]);
@@ -1253,9 +1026,6 @@ mod tests {
                 None => assert!(!on, "{ctx}: disabled edge {e} flagged on-DAG"),
             }
         }
-        // Both engines agree under the mask, bit for bit.
-        let heap = single_target_distances_heap_masked(g, w, target, disabled);
-        assert_eq!(bits(&masked.dist), bits(&heap), "{ctx}: dial vs heap");
     }
 
     #[test]

@@ -212,10 +212,10 @@ fn per_worker_counting_merges_exactly() {
 
 #[test]
 fn obs_counters_merge_across_batches() {
-    // The pool flushes `par.tasks` once per batch participation; after two
-    // forced-parallel batches the counter must have grown by at least the
-    // number of chunks that exist (caller + workers merge into one global
-    // counter without losing updates).
+    // The caller adds `par.tasks` once per batch, after every chunk has
+    // completed; after two forced-parallel batches the counter must have
+    // grown by exactly the number of chunks that exist, with no update
+    // still in flight on a worker when `par_map_chunked` returns.
     // Hold the lock for the whole test so concurrently running tests cannot
     // run batches of their own between the two counter reads.
     let _guard = threads_lock();

@@ -57,16 +57,17 @@ cargo build --release -q
 echo "==> corpus replay"
 cargo test -q --test corpus_replay
 
-# Hot-loop engine gate: the bucket-queue (Dial) Dijkstra and the CSR/
-# prefix-slab arenas must stay bit-identical to the BinaryHeap oracle and
-# the from-scratch router, under both the serial and the parallel pool.
+# Hot-loop gate: dynamic SP-DAG repair and the CSR/prefix-slab arenas
+# must stay bit-identical to from-scratch rebuilds and the from-scratch
+# router, under both the serial and the parallel pool.
 echo "==> hotloop differential suite (SEGROUT_THREADS=1 and =4)"
 SEGROUT_THREADS=1 cargo test -q --test hotloop_differential
 SEGROUT_THREADS=4 cargo test -q --test hotloop_differential
 
 # Flat-memory hot-loop record (full numbers live in EXPERIMENTS.md; the
-# smoke run checks the bench path, the engine A/B bit-identity asserts,
-# and that the record plus its provenance sibling land on disk).
+# smoke run checks the bench path, the probe-vs-scratch and cross-thread
+# bit-identity asserts, and that the record plus its provenance sibling
+# land on disk).
 echo "==> bench_hotloop (writes BENCH_hotloop_fast.json)"
 SEGROUT_FAST=1 ./target/release/bench_hotloop
 test -s BENCH_hotloop_fast.json || { echo "BENCH_hotloop_fast.json missing"; exit 1; }
@@ -97,8 +98,8 @@ SEGROUT_FAST=1 ./target/release/bench_robust
 
 # Failure-sweep gate: the edge-disable probe must stay bit-identical to
 # from-scratch re-routing on the edge-deleted topology, under both the
-# serial and the parallel pool and with both Dijkstra engines (the suite
-# itself iterates the engine toggle).
+# serial and the parallel pool (the suite itself also compares 1 and 4
+# worker threads).
 echo "==> failure-sweep differential suite (SEGROUT_THREADS=1 and =4)"
 SEGROUT_THREADS=1 cargo test -q --test failure_differential
 SEGROUT_THREADS=4 cargo test -q --test failure_differential
@@ -155,16 +156,17 @@ EOF
 
 # Online-serving gate: after every event the daemon's in-place state must
 # be bit-identical to a from-scratch rebuild, and the whole event walk
-# must replay identically at 1 and 4 worker threads with either Dijkstra
-# engine (the suite itself iterates the thread/engine grid; the two env
-# runs additionally pin the ambient default).
+# must replay identically at 1 and 4 worker threads (the suite itself
+# iterates the thread counts; the two env runs additionally pin the
+# ambient default).
 echo "==> serve differential suite (SEGROUT_THREADS=1 and =4)"
 SEGROUT_THREADS=1 cargo test -q --test serve_differential --test serve_counters
 SEGROUT_THREADS=4 cargo test -q --test serve_differential --test serve_counters
 
 # Wire-protocol gate: the real binary over stdio JSONL — well-formed
-# responses, monotone sequence numbers, error replies for malformed
-# events, and byte-identical double replay.
+# responses, monotone sequence numbers, error replies for malformed,
+# non-UTF-8 and over-long lines, byte-identical double replay, and a
+# --listen daemon that survives a reset connection.
 echo "==> serve e2e suite (real binary over stdio)"
 cargo test -q --test serve_e2e
 

@@ -12,7 +12,7 @@
 use segrout::algos::{
     greedy_wpo, greedy_wpo_robust, heur_ospf, heur_ospf_failure_robust, heur_ospf_robust,
     joint_heur, joint_heur_robust, GreedyWpoConfig, HeurOspfConfig, JointHeurConfig, ServeConfig,
-    ServeEvent, ServeResponse, ServeSession,
+    ServeEvent, ServeResponse, ServeSession, MAX_EVENT_LINE_BYTES,
 };
 use segrout::core::{
     evaluate_robust, sweep_failures, EdgeId, FailureSet, Network, NodeId, RobustObjective, Router,
@@ -343,11 +343,6 @@ const METRIC_CATALOG: &[(&str, &str, &str)] = &[
         "invariant violations found by the fuzzer",
     ),
     (
-        "dijkstra.bucket_ops",
-        "counter",
-        "bucket-queue pushes in Dial-engine SP computations",
-    ),
-    (
         "dijkstra.relaxations",
         "counter",
         "edge relaxations across all SP computations",
@@ -671,7 +666,6 @@ fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
         "arena.rebuilds",
         "dijkstra.relaxations",
         "dijkstra.runs",
-        "dijkstra.bucket_ops",
         "mcf.phases",
         "par.tasks",
         "par.batches",
@@ -1310,18 +1304,29 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// Feeds one JSONL event stream through the session, writing one response
 /// line per input line. Returns `true` when a shutdown event arrived.
+///
+/// Lines are read as bytes: a line that is not UTF-8, or longer than
+/// [`MAX_EVENT_LINE_BYTES`], gets an error reply like any other malformed
+/// event, and the session state is left untouched.
 fn serve_stream<R: std::io::BufRead, W: std::io::Write>(
     session: &mut ServeSession<'_>,
-    input: R,
+    mut input: R,
     out: &mut W,
 ) -> Result<bool, String> {
-    for line in input.lines() {
-        let line = line.map_err(|e| format!("event stream: {e}"))?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let response = match parse_event(line) {
+    let mut buf = Vec::new();
+    while let Some(fits) =
+        read_event_line(&mut input, &mut buf).map_err(|e| format!("event stream: {e}"))?
+    {
+        let line = if fits {
+            std::str::from_utf8(&buf).map_err(|_| "event line is not valid UTF-8".to_string())
+        } else {
+            Err(format!("event line exceeds {MAX_EVENT_LINE_BYTES} bytes"))
+        };
+        let line = match line.map(str::trim) {
+            Ok("") => continue,
+            line => line,
+        };
+        let response = match line.and_then(parse_event) {
             Ok(None) => {
                 // Shutdown is a control line, not an event: it gets an ack,
                 // consumes no sequence number, and stops the daemon.
@@ -1345,9 +1350,33 @@ fn serve_stream<R: std::io::BufRead, W: std::io::Write>(
     Ok(false)
 }
 
+/// Reads the next line of `input` into `buf`, without its newline, keeping
+/// at most [`MAX_EVENT_LINE_BYTES`]. Returns `None` at end of stream,
+/// `Some(true)` for a line that fits, and `Some(false)` for an over-long
+/// line, whose remainder is skipped without being buffered.
+fn read_event_line<R: std::io::BufRead>(
+    input: &mut R,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<Option<bool>> {
+    use std::io::BufRead;
+    buf.clear();
+    let limit = MAX_EVENT_LINE_BYTES as u64 + 1; // room for the newline
+    let n = std::io::Read::take(&mut *input, limit).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if n as u64 == limit {
+        input.skip_until(b'\n')?;
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
+}
+
 /// Accepts TCP connections one at a time, serving each until it closes;
 /// session state persists across connections. A shutdown event terminates
-/// the daemon.
+/// the daemon; an I/O error closes only the connection it happened on.
 fn serve_tcp(addr: &str, session: &mut ServeSession<'_>) -> Result<(), String> {
     let listener =
         std::net::TcpListener::bind(addr).map_err(|e| format!("--listen {addr}: {e}"))?;
@@ -1356,12 +1385,16 @@ fn serve_tcp(addr: &str, session: &mut ServeSession<'_>) -> Result<(), String> {
         Err(_) => eprintln!("serve: listening on {addr}"),
     }
     for conn in listener.incoming() {
-        let stream = conn.map_err(|e| format!("accept: {e}"))?;
-        let reader =
-            std::io::BufReader::new(stream.try_clone().map_err(|e| format!("socket: {e}"))?);
-        let mut writer = stream;
-        if serve_stream(session, reader, &mut writer)? {
-            return Ok(());
+        let served = conn.map_err(|e| format!("accept: {e}")).and_then(|stream| {
+            let reader =
+                std::io::BufReader::new(stream.try_clone().map_err(|e| format!("socket: {e}"))?);
+            let mut writer = stream;
+            serve_stream(session, reader, &mut writer)
+        });
+        match served {
+            Ok(true) => return Ok(()),
+            Ok(false) => {}
+            Err(e) => eprintln!("serve: connection closed: {e}"),
         }
     }
     Ok(())

@@ -15,8 +15,8 @@
 //! * disconnect classification: the probe reports `Unroutable` exactly when
 //!   the deleted-topology evaluation does;
 //! * the full probe bit-trace is identical across worker-thread counts
-//!   1 and 4 and across both Dijkstra engines (bucket queue and heap);
-//! * `sweep_failures` reports are bit-stable across the same grid;
+//!   1 and 4;
+//! * `sweep_failures` reports are bit-stable across the same thread counts;
 //! * the pattern-major sweep (one repair per pattern, folded for every
 //!   scaling) matches a per-scaling `probe_disable` reference field by
 //!   field on double failures, at 1 and 4 threads.
@@ -26,7 +26,6 @@ use segrout_core::{
     fortz_phi, sweep_failures, DemandList, EdgeId, FailureSet, IncrementalEvaluator, Network,
     NodeId, Router, ScenarioOutcome, TeError, WaypointSetting, WeightSetting,
 };
-use segrout_graph::set_heap_only;
 use segrout_instances::{instance1, instance3, instance5};
 use segrout_topo::by_name;
 use segrout_traffic::{gravity, TrafficConfig};
@@ -36,18 +35,17 @@ use std::sync::{Mutex, MutexGuard};
 /// for evaluated scenarios, `None` for disconnecting ones.
 type ScenarioSig = (usize, usize, Option<(u64, u64)>);
 
-/// The thread-count override and the heap-only engine toggle are both
-/// process-global; serialize the tests of this binary.
+/// The thread-count override is process-global; serialize the tests of this
+/// binary.
 fn global_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Restores engine dispatch and the thread default even on panic.
+/// Restores the thread default even on panic.
 struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
-        set_heap_only(false);
         segrout_par::set_threads(0);
     }
 }
@@ -85,7 +83,7 @@ fn cases() -> Vec<(String, Network, DemandList)> {
 }
 
 /// Seeded integral weight vector in `[1, 20]` — the optimizer regime, where
-/// the engines' bit-identity contract holds exactly.
+/// tie classification is exact.
 fn integral_weights(m: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..m)
@@ -195,8 +193,6 @@ fn check_pattern(
 #[test]
 fn disable_probes_match_deleted_topology_rerouting() {
     let _guard = global_lock();
-    let _restore = Restore;
-    set_heap_only(false);
     for (label, net, demands) in cases() {
         let weights = integral_weights(net.edge_count(), 0xd15a + net.edge_count() as u64);
         let ws = WeightSetting::new(&net, weights.clone()).expect("weights in range");
@@ -218,7 +214,7 @@ fn disable_probes_match_deleted_topology_rerouting() {
 }
 
 #[test]
-fn probe_traces_identical_across_threads_and_engines() {
+fn probe_traces_identical_across_threads() {
     let _guard = global_lock();
     let _restore = Restore;
     let (label, net, demands) = cases().pop().expect("Germany50 last");
@@ -229,30 +225,26 @@ fn probe_traces_identical_across_threads_and_engines() {
 
     let mut traces = Vec::new();
     for threads in [1usize, 4] {
-        for heap in [false, true] {
-            segrout_par::set_threads(threads);
-            set_heap_only(heap);
-            let ev = IncrementalEvaluator::new(&net, &ws, &demands, &wp).expect("intact routable");
-            let trace: Vec<_> = set
-                .patterns()
-                .iter()
-                .map(|p| check_pattern(&label, &net, &ev, &weights, &demands, &p.dead))
-                .collect();
-            traces.push(trace);
-        }
+        segrout_par::set_threads(threads);
+        let ev = IncrementalEvaluator::new(&net, &ws, &demands, &wp).expect("intact routable");
+        let trace: Vec<_> = set
+            .patterns()
+            .iter()
+            .map(|p| check_pattern(&label, &net, &ev, &weights, &demands, &p.dead))
+            .collect();
+        traces.push(trace);
     }
-    set_heap_only(false);
     segrout_par::set_threads(0);
     for (i, t) in traces.iter().enumerate().skip(1) {
         assert_eq!(
             &traces[0], t,
-            "trace {i} diverged (thread-count × engine grid must be bit-identical)"
+            "trace {i} diverged (thread counts must be bit-identical)"
         );
     }
 }
 
 #[test]
-fn sweep_reports_bit_stable_across_threads_and_engines() {
+fn sweep_reports_bit_stable_across_threads() {
     let _guard = global_lock();
     let _restore = Restore;
     let (_, net, demands) = cases().pop().expect("Germany50 last");
@@ -266,42 +258,38 @@ fn sweep_reports_bit_stable_across_threads_and_engines() {
 
     let mut signatures = Vec::new();
     for threads in [1usize, 4] {
-        for heap in [false, true] {
-            segrout_par::set_threads(threads);
-            set_heap_only(heap);
-            let rep = sweep_failures(&net, &ws, &demands, &wp, &set, &[0.8, 1.0, 1.2])
-                .expect("intact routable");
-            let sig: Vec<ScenarioSig> = rep
-                .results
-                .iter()
-                .map(|r| {
-                    let key = match r.outcome {
-                        ScenarioOutcome::Evaluated { mlu, phi, .. } => {
-                            Some((mlu.to_bits(), phi.to_bits()))
-                        }
-                        ScenarioOutcome::Disconnected { .. } => None,
-                    };
-                    (r.pattern, r.scaling, key)
-                })
-                .collect();
-            let worst = rep.worst.as_ref().map(|c| {
-                (
-                    c.pattern,
-                    c.scaling,
-                    c.mlu.to_bits(),
-                    c.bottleneck,
-                    c.bottleneck_load.to_bits(),
-                )
-            });
-            signatures.push((sig, worst, rep.evaluated, rep.disconnects));
-        }
+        segrout_par::set_threads(threads);
+        let rep = sweep_failures(&net, &ws, &demands, &wp, &set, &[0.8, 1.0, 1.2])
+            .expect("intact routable");
+        let sig: Vec<ScenarioSig> = rep
+            .results
+            .iter()
+            .map(|r| {
+                let key = match r.outcome {
+                    ScenarioOutcome::Evaluated { mlu, phi, .. } => {
+                        Some((mlu.to_bits(), phi.to_bits()))
+                    }
+                    ScenarioOutcome::Disconnected { .. } => None,
+                };
+                (r.pattern, r.scaling, key)
+            })
+            .collect();
+        let worst = rep.worst.as_ref().map(|c| {
+            (
+                c.pattern,
+                c.scaling,
+                c.mlu.to_bits(),
+                c.bottleneck,
+                c.bottleneck_load.to_bits(),
+            )
+        });
+        signatures.push((sig, worst, rep.evaluated, rep.disconnects));
     }
-    set_heap_only(false);
     segrout_par::set_threads(0);
     for (i, s) in signatures.iter().enumerate().skip(1) {
         assert_eq!(
             &signatures[0], s,
-            "sweep report {i} diverged across the thread-count × engine grid"
+            "sweep report {i} diverged across thread counts"
         );
     }
 }

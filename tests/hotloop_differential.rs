@@ -1,46 +1,38 @@
-//! Differential suite pinning the bucket-queue (Dial) Dijkstra engine
-//! bit-identical to the `BinaryHeap` oracle.
+//! Differential suite pinning the flat-memory hot loop bit-identical to
+//! from-scratch rebuilds.
 //!
-//! The hot-loop refactor swapped the evaluator's shortest-path engine for a
-//! monotone bucket queue over the integer weight domain and the SP-DAG
-//! storage for flat CSR slabs. The contract is unchanged from every other
+//! The hot-loop refactor moved the SP-DAG storage to flat CSR slabs and the
+//! evaluator to dynamic repair. The contract is unchanged from every other
 //! differential suite in this repo: **`f64::to_bits` equality, no epsilon**.
 //! This file checks, over the paper's TE-Instances 1/3/5, seeded random
 //! strongly-connected topologies and Germany50:
 //!
-//! * distance vectors: bucket queue vs heap oracle, every target;
-//! * full `SpDag` structure (CSR offsets, edge slab, order) built through
-//!   engine dispatch vs forced-heap scratch;
-//! * dynamic-repair paths (`update_shortest_path_dag`) against forced-heap
-//!   from-scratch rebuilds over random single-edge weight-change sequences;
-//! * the whole evaluator stack (`Router` + `IncrementalEvaluator`) with the
-//!   bucket queue enabled vs disabled, at 1 and 4 worker threads.
+//! * dynamic-repair paths (`update_shortest_path_dag`) against from-scratch
+//!   rebuilds over random single-edge weight-change sequences;
+//! * the whole evaluator stack (`Router` + `IncrementalEvaluator`) at 1 and
+//!   4 worker threads.
 
 use segrout_core::rng::StdRng;
 use segrout_core::{
     fortz_phi, DemandList, EdgeId, IncrementalEvaluator, Network, NodeId, Router, WaypointSetting,
     WeightSetting,
 };
-use segrout_graph::{
-    set_heap_only, shortest_path_dag, single_target_distances, single_target_distances_heap,
-    update_shortest_path_dag, SpDag, SpDagUpdate,
-};
+use segrout_graph::{shortest_path_dag, update_shortest_path_dag, SpDag, SpDagUpdate};
 use segrout_instances::{instance1, instance3, instance5};
 use segrout_topo::{by_name, random_connected};
 use std::sync::{Mutex, MutexGuard};
 
-/// The thread-count override and the heap-only engine toggle are both
-/// process-global; serialize the tests of this binary.
+/// The thread-count override is process-global; serialize the tests of this
+/// binary.
 fn global_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Restores engine dispatch and the thread default even on panic.
+/// Restores the thread default even on panic.
 struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
-        set_heap_only(false);
         segrout_par::set_threads(0);
     }
 }
@@ -84,37 +76,8 @@ fn integral_weights(m: usize, seed: u64) -> Vec<f64> {
 }
 
 #[test]
-fn distances_and_dags_bit_identical_across_engines() {
-    let _guard = global_lock();
-    let _restore = Restore;
-    set_heap_only(false);
-    for (label, net) in cases() {
-        let g = net.graph();
-        let w = integral_weights(net.edge_count(), 0xb0c3 + net.edge_count() as u64);
-        for t in 0..net.node_count() {
-            let target = NodeId(t as u32);
-            let dial = single_target_distances(g, &w, target);
-            let heap = single_target_distances_heap(g, &w, target);
-            assert_eq!(bits(&dial), bits(&heap), "{label} target {target:?}");
-
-            let dag_dispatch = shortest_path_dag(g, &w, target);
-            set_heap_only(true);
-            let dag_heap = shortest_path_dag(g, &w, target);
-            set_heap_only(false);
-            assert_same_dag(
-                &dag_dispatch,
-                &dag_heap,
-                &format!("{label} target {target:?}"),
-            );
-        }
-    }
-}
-
-#[test]
 fn update_paths_match_forced_heap_scratch() {
     let _guard = global_lock();
-    let _restore = Restore;
-    set_heap_only(false);
     for (label, net) in cases() {
         let g = net.graph();
         let m = net.edge_count();
@@ -133,15 +96,12 @@ fn update_paths_match_forced_heap_scratch() {
             let old_w = w[e.index()];
             w[e.index()] = f64::from(rng.gen_range(1..=20u32));
             for (dag, &t) in dags.iter_mut().zip(&targets) {
-                // Repair with bucket dispatch live (rebuild fallbacks use it).
                 let repaired = match update_shortest_path_dag(g, &w, dag, e, old_w, 8) {
                     SpDagUpdate::Unchanged => dag.clone(),
                     SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
                 };
-                // Oracle: forced-heap from-scratch rebuild of the same state.
-                set_heap_only(true);
+                // Oracle: from-scratch rebuild of the same state.
                 let scratch = shortest_path_dag(g, &w, t);
-                set_heap_only(false);
                 assert_same_dag(
                     &repaired,
                     &scratch,
@@ -188,7 +148,7 @@ fn evaluator_trace(net: &Network, demands: &DemandList, seed: u64) -> Vec<(Vec<u
 }
 
 #[test]
-fn evaluator_stack_identical_with_either_engine_at_1_and_4_threads() {
+fn evaluator_stack_identical_at_1_and_4_threads() {
     let _guard = global_lock();
     let _restore = Restore;
     let net = by_name("Germany50").expect("embedded");
@@ -204,18 +164,14 @@ fn evaluator_stack_identical_with_either_engine_at_1_and_4_threads() {
     }
     let mut traces = Vec::new();
     for threads in [1usize, 4] {
-        for heap in [false, true] {
-            segrout_par::set_threads(threads);
-            set_heap_only(heap);
-            traces.push(evaluator_trace(&net, &demands, 0xfacade));
-        }
+        segrout_par::set_threads(threads);
+        traces.push(evaluator_trace(&net, &demands, 0xfacade));
     }
-    set_heap_only(false);
     segrout_par::set_threads(0);
     for (i, t) in traces.iter().enumerate().skip(1) {
         assert_eq!(
             &traces[0], t,
-            "trace {i} diverged (thread-count × engine grid must be bit-identical)"
+            "trace {i} diverged (thread counts must be bit-identical)"
         );
     }
 }

@@ -1,8 +1,7 @@
 //! Differential suite for the online serving engine: after **every** event,
 //! the daemon's in-place state must be `f64::to_bits`-identical to a
 //! from-scratch reconstruction of the same inputs — and the whole event
-//! walk must replay bit-identically at 1 and 4 worker threads, with either
-//! Dijkstra engine.
+//! walk must replay bit-identically at 1 and 4 worker threads.
 //!
 //! Two oracles per event:
 //!
@@ -27,18 +26,17 @@ use segrout::instances::{instance1, instance3, instance5};
 use segrout::topo::by_name;
 use std::sync::{Mutex, MutexGuard};
 
-/// The thread-count override and the heap-only engine toggle are both
-/// process-global; serialize the tests of this binary.
+/// The thread-count override is process-global; serialize the tests of this
+/// binary.
 fn global_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Restores engine dispatch and the thread default even on panic.
+/// Restores the thread default even on panic.
 struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
-        segrout::graph::set_heap_only(false);
         segrout::par::set_threads(0);
     }
 }
@@ -151,7 +149,7 @@ fn scratch_state(session: &ServeSession<'_>) -> (Vec<u64>, u64, u64) {
 }
 
 /// One full event walk; checks both oracles after every event and returns
-/// the per-event bit trace for the thread × engine grid comparison.
+/// the per-event bit trace for the thread-count comparison.
 fn walk(label: &str, net: &Network, demands: &DemandList, check_search: bool) -> Vec<Vec<u64>> {
     let deployed = round_deployed(net, &WeightSetting::unit(net), 20);
     let cfg = ServeConfig::default();
@@ -261,7 +259,6 @@ fn walk(label: &str, net: &Network, demands: &DemandList, check_search: bool) ->
 fn post_event_state_matches_scratch_rebuild_on_all_cases() {
     let _guard = global_lock();
     let _restore = Restore;
-    segrout::graph::set_heap_only(false);
     segrout::par::set_threads(0);
     for (label, net, demands) in cases() {
         walk(&label, &net, &demands, true);
@@ -269,28 +266,21 @@ fn post_event_state_matches_scratch_rebuild_on_all_cases() {
 }
 
 #[test]
-fn event_walk_bit_identical_across_threads_and_engines() {
+fn event_walk_bit_identical_across_threads() {
     let _guard = global_lock();
     let _restore = Restore;
     // The search oracle is covered by the test above; here the walk runs
-    // once per grid point and every observable bit must agree.
+    // once per thread count and every observable bit must agree.
     for (label, net, demands) in cases() {
         let mut traces = Vec::new();
         for threads in [1usize, 4] {
-            for heap in [false, true] {
-                segrout::par::set_threads(threads);
-                segrout::graph::set_heap_only(heap);
-                traces.push((threads, heap, walk(&label, &net, &demands, false)));
-            }
+            segrout::par::set_threads(threads);
+            traces.push((threads, walk(&label, &net, &demands, false)));
         }
-        segrout::graph::set_heap_only(false);
         segrout::par::set_threads(0);
-        let (_, _, reference) = &traces[0];
-        for (threads, heap, t) in &traces[1..] {
-            assert_eq!(
-                reference, t,
-                "{label}: walk diverged at {threads} threads, heap_only={heap}"
-            );
+        let (_, reference) = &traces[0];
+        for (threads, t) in &traces[1..] {
+            assert_eq!(reference, t, "{label}: walk diverged at {threads} threads");
         }
     }
 }
