@@ -19,9 +19,9 @@
 //! state read-only and repair only the destinations whose shortest-path DAG
 //! the single-edge change can touch; the accepted move is committed in
 //! place. Probe answers are bit-identical to a from-scratch evaluation, so
-//! the search trajectory is byte-for-byte the one the (slower) from-scratch
-//! scorer produces — `use_incremental: false` in [`HeurOspfConfig`] selects
-//! that baseline scorer, which the benchmarks compare against.
+//! the search trajectory is the one a full ECMP evaluation per candidate
+//! would trace; the unit tests pin final weights recorded from such a
+//! from-scratch scorer.
 //!
 //! Objective: the paper's local search minimizes the piecewise-linear
 //! congestion cost `Φ` (which correlates with, and tie-breaks on, MLU); the
@@ -38,8 +38,8 @@
 
 use segrout_core::rng::{SliceRandom, StdRng};
 use segrout_core::{
-    fortz_phi, DemandList, DemandSet, EdgeId, FailureSet, IncrementalEvaluator, Network,
-    RobustObjective, Router, WaypointSetting, WeightSetting,
+    DemandList, DemandSet, EdgeId, FailureSet, IncrementalEvaluator, Network, RobustObjective,
+    WaypointSetting, WeightSetting,
 };
 use segrout_obs::{event, Level};
 use std::collections::HashSet;
@@ -67,11 +67,6 @@ pub struct HeurOspfConfig {
     pub objective: Objective,
     /// RNG seed (the search is deterministic given the seed).
     pub seed: u64,
-    /// Score candidates through the incremental evaluation engine (default).
-    /// `false` selects the from-scratch scorer — one full ECMP evaluation
-    /// per candidate — kept as the benchmark baseline; both scorers produce
-    /// bit-identical search trajectories.
-    pub use_incremental: bool,
 }
 
 impl Default for HeurOspfConfig {
@@ -82,7 +77,6 @@ impl Default for HeurOspfConfig {
             max_passes: 30,
             objective: Objective::MluThenPhi,
             seed: 0x5eed,
-            use_incremental: true,
         }
     }
 }
@@ -150,37 +144,6 @@ fn score_from(phi: f64, mlu: f64, objective: Objective) -> Score {
     }
 }
 
-/// Evaluates integer weights from scratch against every matrix of the set,
-/// returning the configured lexicographic score over the robust-aggregated
-/// `(Φ, MLU)`. A set any matrix of which is unroutable scores infinitely
-/// bad. This is the baseline scorer; the hot loop normally probes the
-/// incremental engine instead (bit-identical answers, a fraction of the
-/// work).
-fn score_set(
-    net: &Network,
-    set: &DemandSet,
-    robust: RobustObjective,
-    weights: &[u32],
-    objective: Objective,
-) -> Score {
-    let w = WeightSetting::new(net, weights.iter().map(|&x| x as f64).collect())
-        .expect("integer weights in range are always valid");
-    let router = Router::new(net, &w);
-    let caps = net.capacities();
-    let mut phis = Vec::with_capacity(set.len());
-    let mut mlus = Vec::with_capacity(set.len());
-    for demands in set.matrices() {
-        match router.evaluate(demands, &WaypointSetting::none(demands.len())) {
-            Err(_) => return Score(f64::INFINITY, f64::INFINITY),
-            Ok(report) => {
-                phis.push(fortz_phi(&report.loads, caps));
-                mlus.push(report.mlu);
-            }
-        }
-    }
-    score_from(robust.aggregate(&phis), robust.aggregate(&mlus), objective)
-}
-
 /// Scales the inverse-capacity setting into the integer range
 /// `[1, max_weight]` — the conventional warm start.
 ///
@@ -211,20 +174,22 @@ fn inverse_capacity_start(net: &Network, max_weight: u32) -> Vec<u32> {
         .collect()
 }
 
+/// The weight setting of an integer weight vector.
+fn integer_weights(net: &Network, w: &[u32]) -> WeightSetting {
+    WeightSetting::new(net, w.iter().map(|&x| f64::from(x)).collect())
+        .expect("integer weights in range are always valid")
+}
+
 /// Builds one incremental evaluation engine per matrix for the current
-/// integer weights.
+/// integer weights (construction is one full evaluation per matrix).
 ///
-/// `None` when any matrix is unroutable (construction performs the same
-/// full evaluation `score_set` would): the caller then falls back to the
-/// scratch scorer, whose infinite score rejects every move — the
-/// pre-incremental behavior.
+/// `None` when any matrix is unroutable.
 fn build_evaluators<'n>(
     net: &'n Network,
     set: &DemandSet,
     weights: &[u32],
 ) -> Option<Vec<IncrementalEvaluator<'n>>> {
-    let w = WeightSetting::new(net, weights.iter().map(|&x| x as f64).collect())
-        .expect("integer weights in range are always valid");
+    let w = integer_weights(net, weights);
     let mut evs = Vec::with_capacity(set.len());
     for demands in set.matrices() {
         evs.push(
@@ -246,18 +211,11 @@ fn evaluators_score(
     score_from(robust.aggregate(&phis), robust.aggregate(&mlus), objective)
 }
 
-thread_local! {
-    /// Per-worker weight buffer for the from-scratch scorer, so speculative
-    /// candidate evaluation does not allocate a fresh vector per candidate.
-    static SCRATCH_WEIGHTS: std::cell::RefCell<Vec<u32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// Runs the HeurOSPF local search, returning the best weight setting found.
 ///
-/// Deterministic for a fixed seed. Demands that are unroutable under every
-/// weight setting make every score infinite; the inverse-capacity start is
-/// then returned unchanged.
+/// Deterministic for a fixed seed. When some demand's destination is
+/// unreachable from its source, no weight setting routes it; the
+/// inverse-capacity start is then returned unchanged.
 pub fn heur_ospf(net: &Network, demands: &DemandList, cfg: &HeurOspfConfig) -> WeightSetting {
     heur_ospf_robust(
         net,
@@ -296,12 +254,10 @@ pub fn heur_ospf_robust(
         robust,
         set.len(),
         |w| build_evaluators(net, set, w),
-        |w| score_set(net, set, robust, w, cfg.objective),
         |cur, evs| {
             // Commit-point hook: every evaluator's repaired state must equal
             // a from-scratch evaluation of the accepted weights.
-            let w = WeightSetting::new(net, cur.iter().map(|&x| f64::from(x)).collect())
-                .expect("integer weights in range are always valid");
+            let w = integer_weights(net, cur);
             for (demands, ev) in set.matrices().zip(evs.iter()) {
                 segrout_core::hooks::assert_commit_consistent(
                     net,
@@ -330,7 +286,9 @@ pub fn heur_ospf_robust(
 /// grid fans out on the `segrout-par` pool) and the per-scenario metrics
 /// fold through `robust` before the lexicographic comparison. Probing a
 /// scenario's own dead link is a no-op by construction: a failed link's
-/// weight cannot steer traffic that never crosses it.
+/// weight cannot steer traffic that never crosses it. When the intact
+/// topology already cuts a demand off, the inverse-capacity start is
+/// returned unchanged.
 ///
 /// # Panics
 /// Panics when `max_weight < 2`.
@@ -372,64 +330,32 @@ pub fn heur_ospf_failure_robust<'n>(
     );
 
     let build = |w: &[u32]| -> Option<Vec<IncrementalEvaluator<'n>>> {
-        let ws = WeightSetting::new(net, w.iter().map(|&x| f64::from(x)).collect())
-            .expect("integer weights in range are always valid");
+        let ws = integer_weights(net, w);
         let mut evs = Vec::with_capacity(scenarios.len());
         for dead in &scenarios {
             evs.push(IncrementalEvaluator::new_with_failures(net, &ws, demands, &wp, dead).ok()?);
         }
         Some(evs)
     };
-    descend(
-        net,
-        cfg,
-        robust,
-        k,
-        build,
-        |w| {
-            // From-scratch scorer: scenario-evaluator construction *is* the
-            // full masked evaluation, so build-and-aggregate is the scratch
-            // score.
-            let ws = WeightSetting::new(net, w.iter().map(|&x| f64::from(x)).collect())
-                .expect("integer weights in range are always valid");
-            let mut phis = Vec::with_capacity(scenarios.len());
-            let mut mlus = Vec::with_capacity(scenarios.len());
-            for dead in &scenarios {
-                match IncrementalEvaluator::new_with_failures(net, &ws, demands, &wp, dead) {
-                    Ok(ev) => {
-                        phis.push(ev.phi());
-                        mlus.push(ev.mlu());
-                    }
-                    Err(_) => return Score(f64::INFINITY, f64::INFINITY),
-                }
-            }
-            score_from(
-                robust.aggregate(&phis),
-                robust.aggregate(&mlus),
-                cfg.objective,
-            )
-        },
-        |cur, evs| {
-            // Commit-point hook: each scenario's repaired state must equal a
-            // from-scratch masked evaluation of the accepted weights.
-            let ws = WeightSetting::new(net, cur.iter().map(|&x| f64::from(x)).collect())
-                .expect("integer weights in range are always valid");
-            for (dead, ev) in scenarios.iter().zip(evs.iter()) {
-                let fresh = IncrementalEvaluator::new_with_failures(net, &ws, demands, &wp, dead)
-                    .expect("surviving scenarios stay routable under any weights");
-                assert_eq!(
-                    fresh.mlu().to_bits(),
-                    ev.mlu().to_bits(),
-                    "committed failure-scenario state diverged from scratch"
-                );
-                assert_eq!(
-                    fresh.phi().to_bits(),
-                    ev.phi().to_bits(),
-                    "committed failure-scenario state diverged from scratch"
-                );
-            }
-        },
-    )
+    descend(net, cfg, robust, k, build, |cur, evs| {
+        // Commit-point hook: each scenario's repaired state must equal a
+        // from-scratch masked evaluation of the accepted weights.
+        let ws = integer_weights(net, cur);
+        for (dead, ev) in scenarios.iter().zip(evs.iter()) {
+            let fresh = IncrementalEvaluator::new_with_failures(net, &ws, demands, &wp, dead)
+                .expect("surviving scenarios stay routable under any weights");
+            assert_eq!(
+                fresh.mlu().to_bits(),
+                ev.mlu().to_bits(),
+                "committed failure-scenario state diverged from scratch"
+            );
+            assert_eq!(
+                fresh.phi().to_bits(),
+                ev.phi().to_bits(),
+                "committed failure-scenario state diverged from scratch"
+            );
+        }
+    })
 }
 
 /// The shared first-improvement descent: restarts, shuffled link scans, and
@@ -438,30 +364,29 @@ pub fn heur_ospf_failure_robust<'n>(
 /// evaluator per traffic matrix; [`heur_ospf_failure_robust`] with one per
 /// failure scenario.
 ///
-/// `build` constructs the per-scenario evaluators for a weight vector
-/// (`None` ⇒ some scenario is unroutable ⇒ the scratch scorer's infinite
-/// score rejects every move), `scratch_score` is the from-scratch fallback
-/// scorer (also used when `use_incremental` is off), and `debug_check`
-/// asserts commit consistency of every evaluator after an accepted move
-/// (invoked in debug builds only).
-fn descend<'n, B, S, C>(
+/// `build` constructs the per-scenario evaluators for a weight vector, and
+/// `debug_check` asserts commit consistency of every evaluator after an
+/// accepted move (invoked in debug builds only). When `build` fails on the
+/// start, the inverse-capacity start is returned unscored: unroutability is
+/// a property of the topology, not the weights, so every restart would
+/// fail the same way.
+fn descend<'n, B, C>(
     net: &'n Network,
     cfg: &HeurOspfConfig,
     robust: RobustObjective,
     k: usize,
     build: B,
-    scratch_score: S,
     debug_check: C,
 ) -> WeightSetting
 where
     B: Fn(&[u32]) -> Option<Vec<IncrementalEvaluator<'n>>>,
-    S: Fn(&[u32]) -> Score + Sync,
     C: Fn(&[u32], &[IncrementalEvaluator<'n>]),
 {
-    // `heurospf.iterations` counts candidate-weight evaluations (one full
-    // ECMP scoring each); the trajectory series records the incumbent MLU at
-    // every accepted move — the Figure 4-6 convergence signal. Robust runs
-    // (`K > 1`) additionally count per-matrix evaluations, K per candidate.
+    // `heurospf.iterations` counts scored weight vectors: each restart's
+    // start plus every probed candidate; the trajectory series records the
+    // incumbent MLU at every accepted move — the Figure 4-6 convergence
+    // signal. Robust runs (`K > 1`) additionally count per-matrix
+    // evaluations, K per candidate.
     let iterations = segrout_obs::counter("heurospf.iterations");
     let matrix_evals = (k > 1).then(|| segrout_obs::counter("robust.matrix_evals"));
     let trajectory = segrout_obs::series("heurospf.mlu_trajectory");
@@ -469,7 +394,11 @@ where
     let m = net.edge_count();
 
     let mut best: Vec<u32> = inverse_capacity_start(net, cfg.max_weight);
-    let mut best_score = scratch_score(&best);
+    let Some(start_evaluators) = build(&best) else {
+        event!(Level::Debug, "heurospf.unroutable", edges = m, matrices = k);
+        return integer_weights(net, &best);
+    };
+    let mut best_score = evaluators_score(&start_evaluators, robust, cfg.objective);
     iterations.inc();
     // Local evaluation count for the flight recorder (the global counter is
     // shared across concurrent runs in one process); `trace_best` gates the
@@ -493,27 +422,23 @@ where
         start_mlu = best_score.mlu(cfg.objective),
     );
 
+    let mut start_evaluators = Some(start_evaluators);
     for restart in 0..=cfg.restarts {
-        let mut cur: Vec<u32> = if restart == 0 {
-            best.clone()
-        } else {
-            (0..m).map(|_| rng.gen_range(1..=cfg.max_weight)).collect()
-        };
         // The evaluators own the descent's base state (weights, per-dest
         // DAGs and load partials, Φ/MLU per matrix); construction is one
         // full evaluation per matrix, so their aggregated score is the
-        // restart's starting score.
-        let mut evaluators = if cfg.use_incremental {
-            build(&cur)
-        } else {
-            None
+        // restart's starting score. Restart 0 reuses the start's.
+        let (mut cur, mut evs) = match start_evaluators.take() {
+            Some(evs) => (best.clone(), evs),
+            None => {
+                let cur: Vec<u32> = (0..m).map(|_| rng.gen_range(1..=cfg.max_weight)).collect();
+                let evs = build(&cur).expect("routability does not depend on the weights");
+                iterations.inc();
+                total_evals += 1;
+                (cur, evs)
+            }
         };
-        let mut cur_score = match &evaluators {
-            Some(evs) => evaluators_score(evs, robust, cfg.objective),
-            None => scratch_score(&cur),
-        };
-        iterations.inc();
-        total_evals += 1;
+        let mut cur_score = evaluators_score(&evs, robust, cfg.objective);
         event!(
             Level::Debug,
             "heurospf.restart",
@@ -564,128 +489,83 @@ where
                 // order* — the ordered (score, index) reduction that keeps
                 // the search bit-identical at any thread count.
                 pass_evals += fresh.len() as u64;
-                match evaluators.as_mut() {
-                    Some(evs) => {
-                        // Probes borrow the base state read-only: each one
-                        // repairs only the destinations the single-edge
-                        // change can affect, then re-sums the cached load
-                        // partials — no full ECMP evaluation, no weight
-                        // vector clone. The fan-out covers the full
-                        // (candidate × matrix) grid, candidate-major, so
-                        // candidate `ci`'s probes live at `[ci·K, ci·K+K)`.
-                        let ev_refs: &[IncrementalEvaluator] = evs;
-                        let eid = segrout_core::EdgeId(e as u32);
-                        let tasks: Vec<(usize, usize)> = fresh
-                            .iter()
-                            .enumerate()
-                            .flat_map(|(ci, _)| (0..k).map(move |mi| (ci, mi)))
-                            .collect();
-                        let mut probes = segrout_par::par_map_slice(&tasks, |_, &(ci, mi)| {
-                            ev_refs[mi].probe(eid, f64::from(fresh[ci])).ok()
-                        });
-                        for (idx, &cand) in fresh.iter().enumerate() {
-                            let group = &probes[idx * k..(idx + 1) * k];
-                            let s = if group.iter().all(Option::is_some) {
-                                let mut phis = Vec::with_capacity(k);
-                                let mut mlus = Vec::with_capacity(k);
-                                for p in group.iter().flatten() {
-                                    phis.push(p.phi);
-                                    mlus.push(p.mlu);
-                                }
-                                score_from(
-                                    robust.aggregate(&phis),
-                                    robust.aggregate(&mlus),
-                                    cfg.objective,
-                                )
-                            } else {
-                                Score(f64::INFINITY, f64::INFINITY)
-                            };
-                            if s.better_than(&cur_score) {
-                                for (mi, ev) in evs.iter_mut().enumerate() {
-                                    let p = probes[idx * k + mi]
-                                        .take()
-                                        .expect("an infinite score never improves");
-                                    ev.commit(p);
-                                }
-                                cur[e] = cand;
-                                cur_score = s;
-                                improved = true;
-                                if cfg!(debug_assertions) {
-                                    debug_check(&cur, evs);
-                                }
-                                trajectory.push(cur_score.mlu(cfg.objective));
-                                if segrout_obs::trace_enabled()
-                                    && cur_score.better_than(&trace_best)
-                                {
-                                    trace_best = cur_score;
-                                    segrout_obs::trace_point(
-                                        "heurospf.accept",
-                                        total_evals + pass_evals,
-                                        cur_score.phi(cfg.objective),
-                                        cur_score.mlu(cfg.objective),
-                                    );
-                                    // Robust runs also record the accepted
-                                    // move's per-matrix state (`iter` is the
-                                    // matrix index within the set).
-                                    if k > 1 {
-                                        for (mi, ev) in evs.iter().enumerate() {
-                                            segrout_obs::trace_point(
-                                                "robust.matrix",
-                                                mi as u64,
-                                                ev.phi(),
-                                                ev.mlu(),
-                                            );
-                                        }
-                                    }
-                                }
-                                event!(
-                                    Level::Trace,
-                                    "heurospf.accept",
-                                    edge = e,
-                                    weight = cand,
-                                    mlu = cur_score.mlu(cfg.objective),
-                                );
-                                break; // first improvement: keep cand
-                            }
+                // Probes borrow the base state read-only: each one repairs
+                // only the destinations the single-edge change can affect,
+                // then re-sums the cached load partials — no full ECMP
+                // evaluation, no weight vector clone. The fan-out covers the
+                // full (candidate × matrix) grid, candidate-major, so
+                // candidate `ci`'s probes live at `[ci·K, ci·K+K)`.
+                let ev_refs: &[IncrementalEvaluator] = &evs;
+                let eid = segrout_core::EdgeId(e as u32);
+                let tasks: Vec<(usize, usize)> = fresh
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(ci, _)| (0..k).map(move |mi| (ci, mi)))
+                    .collect();
+                let mut probes = segrout_par::par_map_slice(&tasks, |_, &(ci, mi)| {
+                    ev_refs[mi].probe(eid, f64::from(fresh[ci])).ok()
+                });
+                for (idx, &cand) in fresh.iter().enumerate() {
+                    let group = &probes[idx * k..(idx + 1) * k];
+                    let s = if group.iter().all(Option::is_some) {
+                        let mut phis = Vec::with_capacity(k);
+                        let mut mlus = Vec::with_capacity(k);
+                        for p in group.iter().flatten() {
+                            phis.push(p.phi);
+                            mlus.push(p.mlu);
                         }
-                    }
-                    None => {
-                        let scores = segrout_par::par_map_slice(&fresh, |_, &cand| {
-                            SCRATCH_WEIGHTS.with(|buf| {
-                                let mut w = buf.borrow_mut();
-                                w.clear();
-                                w.extend_from_slice(&cur);
-                                w[e] = cand;
-                                scratch_score(&w)
-                            })
-                        });
-                        for (cand, s) in fresh.iter().zip(&scores) {
-                            if s.better_than(&cur_score) {
-                                cur[e] = *cand;
-                                cur_score = *s;
-                                improved = true;
-                                trajectory.push(cur_score.mlu(cfg.objective));
-                                if segrout_obs::trace_enabled()
-                                    && cur_score.better_than(&trace_best)
-                                {
-                                    trace_best = cur_score;
+                        score_from(
+                            robust.aggregate(&phis),
+                            robust.aggregate(&mlus),
+                            cfg.objective,
+                        )
+                    } else {
+                        Score(f64::INFINITY, f64::INFINITY)
+                    };
+                    if s.better_than(&cur_score) {
+                        for (mi, ev) in evs.iter_mut().enumerate() {
+                            let p = probes[idx * k + mi]
+                                .take()
+                                .expect("an infinite score never improves");
+                            ev.commit(p);
+                        }
+                        cur[e] = cand;
+                        cur_score = s;
+                        improved = true;
+                        if cfg!(debug_assertions) {
+                            debug_check(&cur, &evs);
+                        }
+                        trajectory.push(cur_score.mlu(cfg.objective));
+                        if segrout_obs::trace_enabled() && cur_score.better_than(&trace_best) {
+                            trace_best = cur_score;
+                            segrout_obs::trace_point(
+                                "heurospf.accept",
+                                total_evals + pass_evals,
+                                cur_score.phi(cfg.objective),
+                                cur_score.mlu(cfg.objective),
+                            );
+                            // Robust runs also record the accepted move's
+                            // per-matrix state (`iter` is the matrix index
+                            // within the set).
+                            if k > 1 {
+                                for (mi, ev) in evs.iter().enumerate() {
                                     segrout_obs::trace_point(
-                                        "heurospf.accept",
-                                        total_evals + pass_evals,
-                                        cur_score.phi(cfg.objective),
-                                        cur_score.mlu(cfg.objective),
+                                        "robust.matrix",
+                                        mi as u64,
+                                        ev.phi(),
+                                        ev.mlu(),
                                     );
                                 }
-                                event!(
-                                    Level::Trace,
-                                    "heurospf.accept",
-                                    edge = e,
-                                    weight = *cand,
-                                    mlu = cur_score.mlu(cfg.objective),
-                                );
-                                break; // first improvement: keep cand
                             }
                         }
+                        event!(
+                            Level::Trace,
+                            "heurospf.accept",
+                            edge = e,
+                            weight = cand,
+                            mlu = cur_score.mlu(cfg.objective),
+                        );
+                        break; // first improvement: keep cand
                     }
                 }
             }
@@ -726,14 +606,13 @@ where
         evals = iterations.get(),
         best_mlu = best_score.mlu(cfg.objective),
     );
-    WeightSetting::new(net, best.iter().map(|&x| x as f64).collect())
-        .expect("integer weights in range are always valid")
+    integer_weights(net, &best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segrout_core::NodeId;
+    use segrout_core::{NodeId, Router};
 
     /// The Figure-1 style trap: direct link (s,t) with capacity 1, detour
     /// with capacity 10. Unit weights overload the direct link; the local
@@ -858,10 +737,16 @@ mod tests {
     }
 
     /// The incremental scorer must retrace the from-scratch scorer's search
-    /// byte for byte: same accepted moves, same final weights.
+    /// byte for byte. The expected weights were recorded from a scorer that
+    /// ran one full ECMP evaluation per candidate, on the same instances,
+    /// objectives and default configuration.
     #[test]
     fn incremental_and_scratch_trajectories_agree() {
-        let mut nets: Vec<(Network, DemandList)> = vec![trap_network()];
+        let mut nets: Vec<(Network, DemandList, [f64; 10])> = Vec::new();
+        let (net, d) = trap_network();
+        let mut start = [0.0; 10];
+        start[..3].copy_from_slice(&[20.0, 2.0, 2.0]);
+        nets.push((net, d, start));
         let mut b = Network::builder(4);
         b.bilink(NodeId(0), NodeId(1), 1.0);
         b.bilink(NodeId(1), NodeId(2), 1.0);
@@ -873,29 +758,21 @@ mod tests {
         d.push(NodeId(0), NodeId(2), 1.0);
         d.push(NodeId(2), NodeId(0), 1.0);
         d.push(NodeId(1), NodeId(3), 0.5);
-        nets.push((net, d));
+        let mut heavy_diagonal = [20.0; 10];
+        heavy_diagonal[8..].copy_from_slice(&[7.0, 7.0]);
+        nets.push((net, d, heavy_diagonal));
 
-        for (net, d) in &nets {
+        for (net, d, want) in &nets {
             for objective in [Objective::MluThenPhi, Objective::PhiThenMlu] {
-                let incremental = heur_ospf(
+                let w = heur_ospf(
                     net,
                     d,
                     &HeurOspfConfig {
                         objective,
-                        use_incremental: true,
                         ..Default::default()
                     },
                 );
-                let scratch = heur_ospf(
-                    net,
-                    d,
-                    &HeurOspfConfig {
-                        objective,
-                        use_incremental: false,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(incremental.as_slice(), scratch.as_slice());
+                assert_eq!(w.as_slice(), &want[..net.edge_count()], "{objective:?}");
             }
         }
     }
@@ -1011,19 +888,13 @@ mod tests {
             &HeurOspfConfig::default(),
         );
         assert_eq!(incremental.as_slice(), again.as_slice());
-        // The probe grid must retrace the scratch scorer's trajectory byte
-        // for byte (same contract as the plain search).
-        let scratch = heur_ospf_failure_robust(
-            &net,
-            &d,
-            &failures,
-            RobustObjective::WorstCase,
-            &HeurOspfConfig {
-                use_incremental: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(incremental.as_slice(), scratch.as_slice());
+        // The probe grid must retrace the from-scratch scorer's trajectory
+        // byte for byte (same contract as the plain search): these are the
+        // weights a full masked evaluation per candidate and scenario found.
+        let scratch = [
+            10.0, 10.0, 10.0, 10.0, 20.0, 20.0, 20.0, 20.0, 20.0, 20.0, 20.0, 20.0,
+        ];
+        assert_eq!(incremental.as_slice(), &scratch);
     }
 
     /// A pendant demand whose only link appears in the failure set: those
@@ -1071,23 +942,58 @@ mod tests {
     }
 
     /// A one-matrix `DemandSet` must reproduce the classic single-matrix
-    /// search bit for bit (the module-level reduction contract).
+    /// search bit for bit (the module-level reduction contract), and both
+    /// must land on the weights the from-scratch scorer recorded.
     #[test]
     fn single_matrix_set_reduces_bit_identically() {
         let (net, d) = trap_network();
-        for use_incremental in [true, false] {
-            let cfg = HeurOspfConfig {
-                use_incremental,
-                ..Default::default()
-            };
-            let classic = heur_ospf(&net, &d, &cfg);
-            let robust = heur_ospf_robust(
-                &net,
-                &DemandSet::single(d.clone()),
-                RobustObjective::Quantile(1.0),
-                &cfg,
+        let cfg = HeurOspfConfig::default();
+        let classic = heur_ospf(&net, &d, &cfg);
+        let robust = heur_ospf_robust(
+            &net,
+            &DemandSet::single(d.clone()),
+            RobustObjective::Quantile(1.0),
+            &cfg,
+        );
+        assert_eq!(classic.as_slice(), robust.as_slice());
+        assert_eq!(robust.as_slice(), &[20.0, 2.0, 2.0]);
+    }
+
+    /// No weight setting routes a demand whose destination has no in-link:
+    /// every entry point returns the inverse-capacity start unchanged.
+    #[test]
+    fn unreachable_destination_returns_the_inverse_capacity_start() {
+        let mut b = Network::builder(3);
+        b.link(NodeId(0), NodeId(1), 1.0);
+        b.link(NodeId(1), NodeId(0), 4.0);
+        b.link(NodeId(2), NodeId(0), 2.0); // node 2 is never entered
+        let net = b.build().unwrap();
+        let mut d = DemandList::new();
+        d.push(NodeId(0), NodeId(1), 1.0);
+        d.push(NodeId(0), NodeId(2), 1.0);
+        let mut reachable = DemandList::new();
+        reachable.push(NodeId(1), NodeId(0), 1.0);
+        reachable.push(NodeId(2), NodeId(0), 1.0);
+        let cfg = HeurOspfConfig::default();
+        let start = [20.0, 5.0, 10.0];
+        assert_eq!(
+            inverse_capacity_start(&net, cfg.max_weight),
+            [20, 5, 10],
+            "fixture"
+        );
+
+        assert_eq!(heur_ospf(&net, &d, &cfg).as_slice(), &start);
+        // One unroutable matrix is enough to sink the whole set.
+        let mut set = DemandSet::single(reachable);
+        set.push("unreachable", d.clone());
+        for robust in [RobustObjective::WorstCase, RobustObjective::Quantile(0.5)] {
+            assert_eq!(
+                heur_ospf_robust(&net, &set, robust, &cfg).as_slice(),
+                &start
             );
-            assert_eq!(classic.as_slice(), robust.as_slice());
         }
+        let failures = FailureSet::enumerate(&net, false);
+        let w = heur_ospf_failure_robust(&net, &d, &failures, RobustObjective::WorstCase, &cfg);
+        assert_eq!(w.as_slice(), &start);
     }
 }

@@ -101,18 +101,17 @@ pub struct EvaluatorReopt {
     pub evaluations: u64,
 }
 
-/// The budgeted Fortz–Thorup descent on a **caller-provided** evaluator:
-/// the same local search as [`reoptimize_weights`], but every candidate is
-/// scored with an incremental probe against `ev`'s live state instead of a
-/// from-scratch router build — the daemon path must not rebuild `|D|`
-/// SP-DAGs per event, let alone per candidate. Accepted moves are committed
-/// in place, so on return the evaluator sits exactly on the returned
-/// weights.
+/// The budgeted Fortz–Thorup descent on a **caller-provided** evaluator
+/// ([`reoptimize_weights`] builds one from the deployed setting and calls
+/// this). Every candidate is scored with an incremental probe against
+/// `ev`'s live state — the daemon path must not rebuild `|D|` SP-DAGs per
+/// event, let alone per candidate. Accepted moves are committed in place,
+/// so on return the evaluator sits exactly on the returned weights.
 ///
 /// The evaluator's committed weights are the deployed base and must already
 /// be integral in `[1, cfg.ospf.max_weight]` (see [`round_deployed`]);
 /// probes are bit-identical to scratch evaluation, so the search walks the
-/// identical acceptance trajectory the router-based variant would.
+/// acceptance trajectory a full evaluation per candidate would.
 ///
 /// The objective is scored on whatever workload (demands, waypoints,
 /// failure mask, capacity overrides) the evaluator holds — which is what

@@ -98,8 +98,9 @@ fn scratch_sweep(
     })
 }
 
-/// The committed PR 3 serial probe throughput, if a full-stream (non-fast)
-/// `BENCH_incremental.json` sits in the working directory.
+/// The serial probe throughput of the committed incremental record, if a
+/// full-stream (non-fast) `BENCH_incremental.json` sits in the working
+/// directory.
 fn pr3_baseline() -> Option<f64> {
     let text = std::fs::read_to_string("BENCH_incremental.json").ok()?;
     let record = Json::parse(&text).ok()?;

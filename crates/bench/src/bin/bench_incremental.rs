@@ -6,17 +6,12 @@
 //! per candidate ([`Router`]) and a read-only probe of the
 //! [`IncrementalEvaluator`] — verifies the answers are bit-identical, and
 //! reports candidate-evaluations/second for both, serial and at the
-//! parallel thread count. It also times one complete HeurOSPF descent per
-//! scorer and reports the `ecmp.recomputes` work counts (full
-//! per-destination DAG constructions), which are host-independent.
+//! parallel thread count — the record that the incremental engine pays.
 //!
 //! Results land in `BENCH_incremental.json`. `SEGROUT_FAST=1` shrinks the
-//! candidate stream and pass budget for smoke runs. Wall-clock numbers are
-//! whatever the host gives (CI containers are often single-core); the
-//! recompute counts and the dirty-destination ratio are the portable
-//! signal.
+//! candidate stream for smoke runs. Wall-clock numbers are whatever the
+//! host gives; the dirty-destination ratio is the portable signal.
 
-use segrout_algos::{heur_ospf, HeurOspfConfig};
 use segrout_bench::{banner, fast_mode};
 use segrout_core::rng::StdRng;
 use segrout_core::{
@@ -154,53 +149,6 @@ fn main() {
     }
     segrout_par::set_threads(0);
 
-    // --- one full HeurOSPF descent per scorer (serial, work counts) ------
-    let cfg = HeurOspfConfig {
-        seed: 42,
-        restarts: 0,
-        max_passes: if fast_mode() { 2 } else { 6 },
-        ..Default::default()
-    };
-    let recomputes = segrout_obs::counter("ecmp.recomputes");
-    segrout_par::set_threads(1);
-
-    let before = recomputes.get();
-    let t0 = Instant::now();
-    let w_scratch = heur_ospf(
-        &net,
-        &demands,
-        &HeurOspfConfig {
-            use_incremental: false,
-            ..cfg.clone()
-        },
-    );
-    let scratch_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let scratch_recomputes = recomputes.get() - before;
-
-    let before = recomputes.get();
-    let t0 = Instant::now();
-    let w_incr = heur_ospf(
-        &net,
-        &demands,
-        &HeurOspfConfig {
-            use_incremental: true,
-            ..cfg
-        },
-    );
-    let incr_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let incr_recomputes = recomputes.get() - before;
-    segrout_par::set_threads(0);
-
-    let same_descent = w_scratch.as_slice() == w_incr.as_slice();
-    assert!(same_descent, "the two scorers traced different descents");
-    println!(
-        "\nHeurOSPF descent (serial): scratch {scratch_ms:.0} ms / {scratch_recomputes} recomputes, \
-         incremental {incr_ms:.0} ms / {incr_recomputes} recomputes \
-         ({:.1}x wall, {:.0}x recomputes)",
-        scratch_ms / incr_ms,
-        scratch_recomputes as f64 / incr_recomputes.max(1) as f64
-    );
-
     let record = json!({
         "topology": "Germany50",
         "demands": demands.len(),
@@ -210,14 +158,6 @@ fn main() {
         "fast_mode": fast_mode(),
         "probes_total": probes_ctr.get(),
         "sweeps": rows,
-        "heur_ospf_descent": json!({
-            "scratch_ms": scratch_ms,
-            "incremental_ms": incr_ms,
-            "wall_speedup": scratch_ms / incr_ms,
-            "scratch_recomputes": scratch_recomputes,
-            "incremental_recomputes": incr_recomputes,
-            "identical_weights": same_descent,
-        }),
     });
     segrout_bench::write_record("BENCH_incremental.json", &record);
     segrout_bench::finish_obs();

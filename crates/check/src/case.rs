@@ -8,7 +8,6 @@
 //! # segrout-case v1
 //! seed 42
 //! threads 4
-//! incremental 1
 //! engine revised
 //! pipeline 1
 //! nodes 4
@@ -134,8 +133,6 @@ pub struct Case {
     pub waypoints: Vec<Vec<u32>>,
     /// Worker-thread count the case runs under.
     pub threads: usize,
-    /// Whether the incremental evaluation engine is exercised.
-    pub incremental: bool,
     /// LP engine used for the MILP-oracle stage.
     pub engine: EngineChoice,
     /// Whether the full heuristic pipeline (HeurOSPF + GreedyWPO, plus the
@@ -254,7 +251,6 @@ impl Case {
         let mut out = String::from("# segrout-case v1\n");
         out.push_str(&format!("seed {}\n", self.seed));
         out.push_str(&format!("threads {}\n", self.threads));
-        out.push_str(&format!("incremental {}\n", u8::from(self.incremental)));
         out.push_str(&format!("engine {}\n", self.engine.as_str()));
         out.push_str(&format!("pipeline {}\n", u8::from(self.pipeline)));
         out.push_str(&format!("nodes {}\n", self.nodes));
@@ -325,7 +321,6 @@ impl Case {
             weights: Vec::new(),
             waypoints: Vec::new(),
             threads: 1,
-            incremental: true,
             engine: EngineChoice::Revised,
             pipeline: true,
             seed: 0,
@@ -361,7 +356,6 @@ impl Case {
                         .ok_or_else(|| bad("seed needs an integer"))?
                 }
                 "threads" => case.threads = num(p, lineno, "a thread count")? as usize,
-                "incremental" => case.incremental = num(p, lineno, "0 or 1")? != 0.0,
                 "pipeline" => case.pipeline = num(p, lineno, "0 or 1")? != 0.0,
                 "engine" => {
                     case.engine = match p.next() {
@@ -487,14 +481,12 @@ impl Case {
             Err(e) => return CaseOutcome::Error(e.to_string()),
         };
 
-        let mut cfg = vcfg.clone();
-        cfg.compare_incremental = self.incremental;
         let mut violations = Vec::new();
         let mut checks = 0usize;
 
         // Stage 1: full invariant suite on the given state.
         match Validator::new(&net, &demands, &weights, &waypoints)
-            .with_config(cfg.clone())
+            .with_config(vcfg.clone())
             .validate()
         {
             Ok(rep) => {
@@ -505,7 +497,7 @@ impl Case {
         }
 
         // Stage 2: incremental probe/commit differential.
-        if self.incremental && !self.demands.is_empty() {
+        if !self.demands.is_empty() {
             match self.run_incremental_differential(&net, &demands, &weights, &waypoints) {
                 Ok((c, vs)) => {
                     checks += c;
@@ -518,7 +510,7 @@ impl Case {
         // Stages 3 + 4: heuristic pipeline, then the MILP oracle on tiny
         // instances.
         if self.pipeline && !self.demands.is_empty() {
-            match self.run_pipeline(&net, &demands, &cfg) {
+            match self.run_pipeline(&net, &demands, vcfg) {
                 Ok((c, vs)) => {
                     checks += c;
                     violations.extend(vs);
@@ -597,7 +589,6 @@ impl Case {
                     max_weight: 8,
                     max_passes: 2,
                     seed: self.seed,
-                    use_incremental: self.incremental,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -860,7 +851,6 @@ impl Case {
             restarts: 1,
             max_passes: 2,
             seed: self.seed,
-            use_incremental: self.incremental,
             ..Default::default()
         };
 
@@ -979,7 +969,6 @@ impl Case {
             restarts: 1,
             max_passes: 3,
             seed: self.seed,
-            use_incremental: self.incremental,
             ..Default::default()
         };
         let hw = segrout_algos::heur_ospf(net, demands, &ospf);
@@ -1122,7 +1111,6 @@ mod tests {
             weights: vec![1.0; 8],
             waypoints: vec![vec![2], vec![]],
             threads: 2,
-            incremental: true,
             engine: EngineChoice::Revised,
             pipeline: true,
             seed: 7,
@@ -1190,7 +1178,6 @@ mod tests {
             weights: vec![1.0, 1.0],
             waypoints: vec![vec![]],
             threads: 1,
-            incremental: true,
             engine: EngineChoice::Revised,
             pipeline: false,
             seed: 1,

@@ -225,6 +225,16 @@ pub fn generate_case(campaign_seed: u64, index: usize) -> Case {
         });
     }
 
+    let threads = if rng.gen::<bool>() { 4 } else { 1 };
+    // This draw once switched the incremental-engine stages on or off; every
+    // case now runs them. It stays so that each campaign seed keeps
+    // generating the same cases.
+    let _ = rng.gen::<bool>();
+    let engine = if rng.gen::<bool>() {
+        EngineChoice::Revised
+    } else {
+        EngineChoice::Tableau
+    };
     Case {
         nodes,
         links,
@@ -233,13 +243,8 @@ pub fn generate_case(campaign_seed: u64, index: usize) -> Case {
         events,
         weights,
         waypoints,
-        threads: if rng.gen::<bool>() { 4 } else { 1 },
-        incremental: rng.gen::<bool>(),
-        engine: if rng.gen::<bool>() {
-            EngineChoice::Revised
-        } else {
-            EngineChoice::Tableau
-        },
+        threads,
+        engine,
         pipeline: nodes <= 10,
         seed: rng.next_u64(),
     }

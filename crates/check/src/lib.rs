@@ -21,8 +21,8 @@
 //!   `segrout-config v1` block), replayable from `tests/corpus/*.case`.
 //! * [`fuzz_campaign`] generates seeded random scenarios (synthetic and
 //!   embedded topologies × demand matrices × weight/waypoint perturbations
-//!   × thread counts × incremental on/off × LP engines × multi-matrix
-//!   demand sets), runs the full pipeline, validates every invariant,
+//!   × thread counts × LP engines × multi-matrix demand sets × serve-event
+//!   streams), runs the full pipeline, validates every invariant,
 //!   cross-checks small instances against the MILP oracle, and **shrinks**
 //!   failures (drop demands, contract edges, round weights, drop matrices)
 //!   to minimal reproducers.

@@ -68,8 +68,6 @@ impl fmt::Display for ValidationReport {
 /// Knobs of the validator — everything defaults to the full suite.
 #[derive(Clone, Debug)]
 pub struct ValidatorConfig {
-    /// Cross-check the state against the incremental evaluation engine.
-    pub compare_incremental: bool,
     /// Re-evaluate at thread counts 1 and 4 and require bit-identical loads.
     pub compare_thread_counts: bool,
     /// Check heuristic MLU against the MCF fluid lower bound (runs the
@@ -82,7 +80,6 @@ pub struct ValidatorConfig {
 impl Default for ValidatorConfig {
     fn default() -> Self {
         Self {
-            compare_incremental: true,
             compare_thread_counts: true,
             mcf_lower_bound: true,
             mcf_epsilon: 0.1,
@@ -146,9 +143,7 @@ impl<'a> Validator<'a> {
         self.check_even_split(&router, &segments, &report.loads, &mut rep);
         self.check_conservation(&segments, &report.loads, &mut rep);
         self.check_loads(&report.loads, report.mlu, &mut rep);
-        if self.cfg.compare_incremental {
-            self.check_incremental(&report.loads, report.mlu, &mut rep)?;
-        }
+        self.check_incremental(&report.loads, report.mlu, &mut rep)?;
         if self.cfg.compare_thread_counts {
             self.check_thread_counts(&report.loads, &mut rep)?;
         }

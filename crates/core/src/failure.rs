@@ -31,7 +31,7 @@
 //! "minimize the worst-case MLU over the failure set" is the same code path
 //! as "minimize the worst case over a demand set".
 
-use crate::demand::DemandList;
+use crate::demand::{Demand, DemandList};
 use crate::error::TeError;
 use crate::incremental::IncrementalEvaluator;
 use crate::network::Network;
@@ -289,12 +289,17 @@ fn sweep_metrics() -> &'static (
 
 /// Scales every demand size by `scale` (sources, destinations and order are
 /// preserved).
-fn scale_demands(demands: &DemandList, scale: f64) -> DemandList {
-    let mut out = DemandList::new();
-    for d in demands.iter() {
-        out.push(d.src, d.dst, d.size * scale);
-    }
-    out
+///
+/// # Errors
+/// [`TeError::InvalidDemand`] when a scaled size overflows to infinity or
+/// underflows to zero.
+fn scale_demands(demands: &DemandList, scale: f64) -> Result<DemandList, TeError> {
+    DemandList::from_vec(
+        demands
+            .iter()
+            .map(|d| Demand::new(d.src, d.dst, d.size * scale))
+            .collect(),
+    )
 }
 
 /// Sweeps every `(failure pattern, demand scaling)` scenario of `set` over
@@ -311,8 +316,9 @@ fn scale_demands(demands: &DemandList, scale: f64) -> DemandList {
 /// edge-deleted topology. Results are collected in scaling-major order
 /// and are independent of the thread count.
 ///
-/// Errors only if the *intact* workload fails to route for some scaling
-/// (failure-induced disconnections are classified per scenario instead).
+/// Errors only if the *intact* workload fails to route for some scaling, or
+/// a scaling pushes some demand size to infinity or zero (failure-induced
+/// disconnections are classified per scenario instead).
 pub fn sweep_failures(
     net: &Network,
     weights: &WeightSetting,
@@ -332,7 +338,7 @@ pub fn sweep_failures(
 
     let evals = scalings
         .iter()
-        .map(|&s| IncrementalEvaluator::new(net, weights, &scale_demands(demands, s), waypoints))
+        .map(|&s| IncrementalEvaluator::new(net, weights, &scale_demands(demands, s)?, waypoints))
         .collect::<Result<Vec<_>, _>>()?;
     // Each scaling folds over the repairs of the first evaluator with the
     // same DAGs: evaluator 0 for all of them, unless scaling pushed some

@@ -21,13 +21,18 @@ SEGROUT_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q --workspace  (SEGROUT_THREADS=4)"
 SEGROUT_THREADS=4 cargo test -q --workspace
 
+# The benchmark harness is a separate cargo package built against the
+# public API; its own tests fail here when an API change breaks it.
+echo "==> segbench tests"
+cargo test -q --manifest-path segbench/Cargo.toml
+
 echo "==> bench_parallel (writes BENCH_parallel.json; SEGROUT_FAST=1 for a smoke run)"
 cargo build --release -q -p segrout-bench
 ./target/release/bench_parallel
 
-# Smoke-run the incremental-vs-scratch record (the differential suite
-# already ran under both thread counts above; this checks the bench path
-# and refreshes BENCH_incremental.json).
+# Smoke-run the probe-vs-Router candidate-stream record (the differential
+# suite already ran under both thread counts above; this checks the bench
+# path and refreshes BENCH_incremental.json).
 echo "==> bench_incremental (writes BENCH_incremental.json)"
 SEGROUT_FAST=1 ./target/release/bench_incremental
 

@@ -1500,14 +1500,19 @@ fn cmd_gaps(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(|s| s.parse().map_err(|_| "bad --m"))
         .transpose()?
         .unwrap_or(8);
-    let inst: PaperInstance = match which {
-        1 => instance1(m),
-        2 => instance2(m),
-        3 => instance3(m),
-        4 => instance4(m),
-        5 => instance5(m),
+    // The smallest `m` each construction is defined for.
+    let (build, min_m): (fn(usize) -> PaperInstance, usize) = match which {
+        1 => (instance1, 2),
+        2 => (instance2, 1),
+        3 => (instance3, 2),
+        4 => (instance4, 2),
+        5 => (instance5, 2),
         other => return Err(format!("no TE-Instance {other}")),
     };
+    if m < min_m {
+        return Err(format!("TE-Instance {which} needs --m >= {min_m}, got {m}"));
+    }
+    let inst = build(m);
     let router = Router::new(&inst.network, &inst.joint_weights);
     let joint = router
         .evaluate(&inst.demands, &inst.joint_waypoints)

@@ -417,3 +417,65 @@ fn parse_rejects_missing_file() {
     assert!(!ok);
     assert!(stderr.contains("error"));
 }
+
+#[test]
+fn gaps_rejects_m_below_the_instance_minimum() {
+    for (instance, m, min_m) in [
+        ("1", "0", 2),
+        ("1", "1", 2),
+        ("2", "0", 1),
+        ("3", "1", 2),
+        ("4", "1", 2),
+        ("5", "1", 2),
+    ] {
+        let (code, _, stderr) = segrout_code(&["gaps", "--instance", instance, "--m", m]);
+        assert_eq!(code, Some(1), "instance {instance}, m {m}: {stderr}");
+        assert!(
+            stderr.contains(&format!("needs --m >= {min_m}")),
+            "instance {instance}, m {m}: {stderr}"
+        );
+    }
+    let (ok, stdout, _) = segrout(&["gaps", "--instance", "2", "--m", "1"]);
+    assert!(ok, "{stdout}");
+}
+
+/// A demand scaling that overflows a demand size to infinity, or
+/// underflows one to zero, is an input error with exit 1, not a panic.
+#[test]
+fn sweep_rejects_scalings_that_overflow_or_underflow_demands() {
+    for (traffic, scaling) in [
+        ("mcf", "1e308"),
+        ("mcf", "1.0,1e308"),
+        ("gravity", "5e-324"),
+    ] {
+        let (code, _, stderr) = segrout_code(&[
+            "sweep",
+            "--topology",
+            "Abilene",
+            "--algorithm",
+            "invcap",
+            "--traffic",
+            traffic,
+            "--scalings",
+            scaling,
+        ]);
+        assert_eq!(code, Some(1), "--scalings {scaling}: {stderr}");
+        assert!(
+            stderr.contains("must be a positive finite real") && !stderr.contains("panicked"),
+            "--scalings {scaling}: {stderr}"
+        );
+    }
+    // A tiny scaling whose products stay subnormal but positive still sweeps.
+    let (code, _, stderr) = segrout_code(&[
+        "sweep",
+        "--topology",
+        "Abilene",
+        "--algorithm",
+        "invcap",
+        "--scalings",
+        "1e-320",
+        "--run-out",
+        tmp_dir("tiny-scaling").join("run.json").to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "--scalings 1e-320: {stderr}");
+}
